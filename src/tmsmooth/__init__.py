@@ -15,8 +15,7 @@ from .grid_image import (GridGeometry, Image, PgmParseError, design_point,
                          parse_pgm, pgm_bytes, quantize, read_pgm, window_at,
                          write_pgm)
 from .kernels import k2, l0, l1, l2
-from .lts_trim import (TrimConfig, TrimOutcome, lts_center, trim_count,
-                       trim_values, trim_window)
+from .lts_trim import lts_center, trim_count, trim_values
 from .mode_density import (DegenerateFieldError, DensityField, ModeResult,
                            nearest_mode)
 from .scene_noise import (Disk, NoiseSpec, Polygon, Rect, Region,
@@ -35,8 +34,7 @@ __all__ = [
     "GridGeometry", "Image", "PgmParseError", "design_point", "parse_pgm",
     "pgm_bytes", "quantize", "read_pgm", "window_at", "write_pgm",
     "k2", "l0", "l1", "l2",
-    "TrimConfig", "TrimOutcome", "lts_center", "trim_count", "trim_values",
-    "trim_window",
+    "lts_center", "trim_count", "trim_values",
     "DegenerateFieldError", "DensityField", "ModeResult", "nearest_mode",
     "Disk", "NoiseSpec", "Polygon", "Rect", "Region", "SceneConfigError",
     "SceneSpec", "Wedge", "add_noise", "parse_noise_config",

@@ -262,8 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default 0.15)")
     p.add_argument("--radius", type=int, default=2,
                    help="window radius in pixels (default 2)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="stop the mode search once |F'| <= tol "
+                        "(default 1e-8)")
+    p.add_argument("--max-iter", type=int, default=200, dest="max_iter",
+                   help="cap on the mode search's root-solver steps "
+                        "(default 200)")
     p.add_argument("--border", choices=("clip", "replicate"),
                    default="clip")
     p.add_argument("--report", help="write a JSON run report here")

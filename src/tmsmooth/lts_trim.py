@@ -20,11 +20,8 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .grid_image import Window
 
 
 def trim_count(n: int, trim_fraction: float) -> int:
@@ -62,35 +59,6 @@ def lts_center(values, r: int) -> float:
     return float(blocks[best].mean())
 
 
-@dataclass(frozen=True)
-class TrimConfig:
-    """Trim fraction for window trimming; l = 0 disables trimming."""
-
-    trim_fraction: float = 0.15
-
-    def __post_init__(self):
-        if not (0.0 <= self.trim_fraction < 0.5):
-            raise ValueError(
-                f"trim fraction must be in [0, 0.5), got {self.trim_fraction}")
-
-
-@dataclass(frozen=True)
-class TrimOutcome:
-    """Result of trimming one window.
-
-    `retained` lists the surviving (row, column) index pairs in window
-    entry order; `mask` is the matching boolean selector over the window
-    entries; `threshold` is the squared-residual order statistic that
-    separated survivors from trimmed entries.
-    """
-
-    lts_center: float
-    retained: tuple[tuple[int, int], ...]
-    mask: np.ndarray
-    threshold: float
-    r: int
-
-
 def trim_values(values, trim_fraction: float) -> tuple[float, np.ndarray, float, int]:
     """Array-level trimming: (lts_centre, retained mask, threshold, r).
 
@@ -116,14 +84,3 @@ def trim_values(values, trim_fraction: float) -> tuple[float, np.ndarray, float,
     tie_rank = np.cumsum(tied)
     mask = below | (tied & (tie_rank <= need))
     return center, mask, thr, r
-
-
-def trim_window(win: Window, cfg: TrimConfig) -> TrimOutcome:
-    """Trim a window per the config; retains ceil((1 - l) * n) entries."""
-    center, mask, thr, r = trim_values(win.values, cfg.trim_fraction)
-    retained = tuple(
-        (int(i), int(j))
-        for i, j, keep in zip(win.rows, win.cols, mask)
-        if keep)
-    return TrimOutcome(lts_center=center, retained=retained, mask=mask,
-                       threshold=thr, r=r)

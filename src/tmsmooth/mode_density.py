@@ -2,32 +2,39 @@
 
 A density field is the weighted sum of truncated-Gaussian kernels centred
 at the retained window intensities.  The per-pixel estimate is the local
-maximum of that field nearest to a starting intensity (the untrimmed
-centre observation), found by Newton ascent with Armijo backtracking.
+mode of that field nearest to a starting intensity (the untrimmed centre
+observation).
 
-Search policy, given F = field value, F' and F'' its derivatives:
+The kernel of an entry y_i is cut at the points y_i - g and y_i + g, so F
+is smooth only between consecutive cut points.  On such a segment every
+active term of F'' is kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is
+strictly concave there and F' strictly decreasing.  Moving in a direction
+d (+1 or -1), a kernel enters at v = -d or leaves at v = +d, and either
+event makes d*F' jump upward.  From a point where d*F' > 0, d*F' therefore
+decreases continuously within each segment and only rises across cuts.
 
-* F(start) > 0 and |F'(start)| > tol: ascend in the direction F'
-  points; the first local maximum reached in that direction is returned.
-* F(start) > 0, |F'(start)| <= tol, F''(start) < 0: the start already is
-  a local maximum and is returned unchanged.
-* F(start) > 0, |F'(start)| <= tol, F''(start) >= 0: ascend in both
-  directions and keep the mode closer to the start (ties pick the
-  smaller intensity).
+The mode in direction d is the first zero of d*F': the unique root of F'
+on the first segment whose far-end value of d*F', taken with that
+segment's kernels, is <= 0.  Such a segment always exists before the end
+of the support component, because d*F' < 0 just inside that end.  The
+search evaluates d*F' at the cut points ahead in order, then solves the
+one bracketed root by Newton, bisecting whenever a Newton step leaves the
+bracket.  There is no other fallback.
+
+Search policy, given F = field value and F' its derivative at the start:
+
+* F(start) > 0 and |F'(start)| > tol: d is the sign of F'(start); the
+  first zero of d*F' beyond the start is returned ("up" or "down").
+* F(start) > 0 and |F'(start)| <= tol: the start is returned unchanged
+  ("stay"); it is a local maximum because F'' < 0 wherever F > 0.
 * F(start) = 0 (the centre observation was an outlier far from every
-  retained value): enter the nearest stretch of positive density on each
-  side, ascend away from the start, and keep the closer mode.
+  retained value): search away from the start from the cut point where
+  the density begins on each side, and keep the mode closer to the start,
+  ties picking the smaller intensity ("both").
 
-Newton steps are taken only where F'' < 0 and are capped at g/2; elsewhere
-a fixed fraction of g is used.  Iterates are clamped to the support hull
-[min(retained) - g, max(retained) + g].  Accepted steps longer than g/4
-get a midpoint derivative check so a maximum cannot be jumped even when
-the derivative sign happens to match again at the landing point (kernel
-truncation makes F only piecewise smooth, so F' can flip twice across a
-support edge).  If the ascent stalls or the iteration budget runs out, a
-deterministic grid scan at resolution g/64 over the current support
-component brackets the derivative sign change and a bisection pass
-refines it.
+The root solver stops once |F'| <= tol and returns one more Newton step
+from there; `max_iter` caps its number of steps, and a search that hits
+the cap is reported as not converged.
 """
 
 from __future__ import annotations
@@ -38,16 +45,6 @@ import numpy as np
 
 from .kernels import _GAUSS_COEF, l0, l1, l2
 
-ARMIJO_C1 = 1e-4
-BACKTRACK_FACTOR = 0.5
-# a step still rejected after 12 halvings (alpha < 2.5e-4) is a stall in
-# all but name; handing over to the grid scan there avoids crawling along
-# nearly flat density tops at microscopic accepted steps
-MAX_BACKTRACKS = 12
-PLATEAU_STEP_FRACTION = 0.25
-NEWTON_CAP_FRACTION = 0.5
-MIDPOINT_CHECK_FRACTION = 0.25
-SCAN_RESOLUTION_DIVISOR = 64
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 
@@ -114,21 +111,6 @@ class DensityField:
         """Hull of the positive-density region."""
         return float(self._ys[0] - self.g), float(self._ys[-1] + self.g)
 
-    def components(self) -> list[tuple[float, float]]:
-        """Maximal merged intervals (value - g, value + g) of the support."""
-        g = self.g
-        out: list[tuple[float, float]] = []
-        lo = self._ys[0] - g
-        hi = self._ys[0] + g
-        for y in self._ys[1:]:
-            if y - g <= hi:
-                hi = max(hi, y + g)
-            else:
-                out.append((float(lo), float(hi)))
-                lo, hi = y - g, y + g
-        out.append((float(lo), float(hi)))
-        return out
-
     # -- reference evaluation (vectorised over y) -------------------------
 
     def value(self, y):
@@ -154,10 +136,21 @@ class DensityField:
 
     # -- fast scalar evaluation for the mode search -----------------------
 
-    def eval_all(self, y: float) -> tuple[float, float, float]:
-        """(F, F', F'') at a scalar y, sharing one exponential pass."""
-        v = (y - self._ys) / self.g
-        t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v), 0.0)
+    def eval_all(self, y: float, active: slice | None = None
+                 ) -> tuple[float, float, float]:
+        """(F, F', F'') at a scalar y, sharing one exponential pass.
+
+        `active` selects a run of kernels in ascending order of their
+        centres and sums them without truncation: the smooth piece of F
+        on one segment between cut points, extended to its ends.
+        """
+        if active is None:
+            v = (y - self._ys) / self.g
+            t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v),
+                         0.0)
+        else:
+            v = (y - self._ys[active]) / self.g
+            t = self._kc[active] * np.exp(-0.5 * v * v)
         f = float(t.sum())
         fp = float(-(v * t).sum() / self.g)
         fpp = float(((v * v - 1.0) * t).sum() / (self.g * self.g))
@@ -174,157 +167,67 @@ class DensityField:
         return float(-(v * t).sum() / self.g)
 
 
-# Module-level aliases matching the functional naming used elsewhere.
-
-def field_value(f: DensityField, y):
-    return f.value(y)
-
-
-def field_d1(f: DensityField, y):
-    return f.d1(y)
-
-
-def field_d2(f: DensityField, y):
-    return f.d2(y)
-
-
 @dataclass(frozen=True)
 class ModeResult:
     """Outcome of a nearest-mode search."""
 
     mode: float
-    iterations: int
+    iterations: int  # root-solver steps
     direction: str  # "up", "down", "both", or "stay"
     converged: bool
     field_value: float
-    used_scan: bool = False
-
-
-def _bisect(f: DensityField, a: float, b: float, d: float, tol: float,
-            max_steps: int = 200) -> tuple[float, int, bool]:
-    """Refine a derivative sign change: F'(a)*d > 0, F'(b)*d < 0."""
-    best = a
-    best_abs = abs(f.eval_d1(a))
-    for it in range(1, max_steps + 1):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            return best, it, best_abs <= tol
-        fp = f.eval_d1(mid)
-        if abs(fp) < best_abs:
-            best, best_abs = mid, abs(fp)
-        if abs(fp) <= tol:
-            return mid, it, True
-        if fp * d > 0.0:
-            a = mid
-        else:
-            b = mid
-    return best, max_steps, best_abs <= tol
-
-
-def _scan(f: DensityField, y: float, d: float, tol: float,
-          iters: int) -> tuple[float, int, bool, bool]:
-    """Deterministic fallback: grid scan at g/64 toward the next mode."""
-    res = f.g / SCAN_RESOLUTION_DIVISOR
-    comps = f.components()
-    # scan to the end of the support component that contains y (or the
-    # next one in direction d if y sits in a density gap)
-    bound = None
-    if d > 0:
-        for lo, hi in comps:
-            if y < hi:
-                bound = hi
-                break
-    else:
-        for lo, hi in reversed(comps):
-            if y > lo:
-                bound = lo
-                break
-    if bound is None:
-        return y, iters, False, True
-    n_steps = int(np.ceil(abs(bound - y) / res)) + 1
-    grid = y + d * res * np.arange(1, n_steps + 1)
-    grid = np.clip(grid, min(y, bound), max(y, bound))
-    d1_grid = f.d1(grid)
-    flipped = np.nonzero(d1_grid * d < 0.0)[0]
-    if flipped.size:
-        k = int(flipped[0])
-        a = y if k == 0 else float(grid[k - 1])
-        mode, bis_iters, conv = _bisect(f, a, float(grid[k]), d, tol)
-        return mode, iters + bis_iters + k + 1, conv, True
-    # no sign change up to the component end: return the best grid point
-    f_grid = f.value(grid)
-    k = int(np.argmax(f_grid))
-    mode = float(grid[k])
-    conv = abs(float(d1_grid[k])) <= tol and float(f_grid[k]) > 0.0
-    return mode, iters + n_steps, conv, True
+    used_scan: bool = False  # always False: the search has no scan fallback
 
 
 def _ascend(f: DensityField, y0: float, d: float, tol: float,
-            max_iter: int) -> tuple[float, int, bool, bool]:
-    """Climb the field from y0 in direction d (+1 or -1)."""
-    g = f.g
-    lo, hi = f.support
-    y = min(max(y0, lo), hi)
-    fv, fp, fpp = f.eval_all(y)
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        if abs(fp) <= tol and fpp < 0.0 and fv > 0.0:
-            return y, iters, True, False
-        if abs(fp) > tol and fpp < 0.0:
-            step = -fp / fpp
-            if step * d <= 0.0:
-                step = d * g * PLATEAU_STEP_FRACTION
-            elif abs(step) > g * NEWTON_CAP_FRACTION:
-                step = d * g * NEWTON_CAP_FRACTION
-        else:
-            step = d * g * PLATEAU_STEP_FRACTION
-        target = min(max(y + step, lo), hi)
-        step = target - y
-        if step == 0.0:
-            return y, iters, abs(fp) <= tol and fv > 0.0, False
-        alpha = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            y_new = y + alpha * step
-            f_new = f.eval_value(y_new)
-            if f_new >= fv + ARMIJO_C1 * alpha * fp * step:
-                accepted = True
-                break
-            alpha *= BACKTRACK_FACTOR
-        if not accepted:
-            return _scan(f, y, d, tol, iters)
-        y_prev = y
+            max_iter: int) -> tuple[float, int, bool]:
+    """First zero of d*F' beyond y0, where d*F' > 0 just beyond y0."""
+    enter, leave = f._ys - f.g, f._ys + f.g
+    cuts = np.unique(np.concatenate([enter, leave]))
+    if d > 0.0:
+        ahead, side = cuts[cuts > y0], "left"
+    else:
+        ahead, side = cuts[cuts < y0][::-1], "right"
+    # the segment that ends at a cut holds the kernels entered and not yet
+    # left on the near side of it: a run of consecutive sorted entries
+    first = np.searchsorted(leave, ahead, side)
+    stop = np.searchsorted(enter, ahead, side)
+    near = y0
+    for far, i, j in zip(ahead.tolist(), first.tolist(), stop.tolist()):
+        seg = slice(i, j)
+        _, fp, fpp = f.eval_all(far, seg)
+        if d * fp <= 0.0:
+            break
+        near = far
+    # the last cut ends the support, where d*F' < 0, so the loop broke:
+    # the root of F' on `seg` lies in [near, far]
+    y = far
+    for it in range(1, max_iter + 1):
+        lo, hi = min(near, far), max(near, far)
+        y_new = y - fp / fpp if fpp < 0.0 else near
+        if not lo < y_new < hi:
+            y_new = 0.5 * (near + far)
+            if not lo < y_new < hi:
+                return y, it - 1, False
         y = y_new
-        fv, fp, fpp = f.eval_all(y)
-        if fp * d < -tol:
-            mode, bis_iters, conv = _bisect(f, y_prev, y, d, tol)
-            return mode, iters + bis_iters, conv, False
-        if abs(y - y_prev) > g * MIDPOINT_CHECK_FRACTION:
-            # long step: F' may have flipped twice across a support edge,
-            # silently skipping a maximum in the first half
-            mid = 0.5 * (y_prev + y)
-            if f.eval_d1(mid) * d < -tol:
-                mode, bis_iters, conv = _bisect(f, y_prev, mid, d, tol)
-                return mode, iters + bis_iters, conv, False
-    return _scan(f, y, d, tol, iters)
+        _, fp, fpp = f.eval_all(y, seg)
+        if abs(fp) <= tol:
+            # |F'| <= tol leaves y up to tol / |F''| from the root; one more
+            # Newton step costs no evaluation and squares that distance
+            y_new = y - fp / fpp if fpp < 0.0 else y
+            return (y_new if lo < y_new < hi else y), it, True
+        if d * fp > 0.0:
+            near = y
+        else:
+            far = y
+    return y, max_iter, False
 
 
-def _pick_closer(start: float,
-                 cands: list[tuple[float, int, bool, bool]]
-                 ) -> tuple[float, int, bool, bool]:
+def _pick_closer(start: float, cands: list[tuple[float, int, bool]]
+                 ) -> tuple[float, int, bool]:
     """Closest candidate mode; equidistant picks the smaller intensity."""
-    iters = sum(c[1] for c in cands)
-    best = None
-    for mode, _, conv, scan in cands:
-        if best is None:
-            best = (mode, conv, scan)
-            continue
-        dist, best_dist = abs(mode - start), abs(best[0] - start)
-        if dist < best_dist or (dist == best_dist and mode < best[0]):
-            best = (mode, conv, scan)
-    any_scan = any(c[3] for c in cands)
-    return best[0], iters, best[1], any_scan
+    mode, _, conv = min(cands, key=lambda c: (abs(c[0] - start), c[0]))
+    return mode, sum(c[1] for c in cands), conv
 
 
 def nearest_mode(f: DensityField, start: float, tol: float = DEFAULT_TOL,
@@ -336,36 +239,25 @@ def nearest_mode(f: DensityField, start: float, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    fv, fp, fpp = f.eval_all(start)
+    fv, fp, _ = f.eval_all(start)
     if fv <= 0.0:
-        # outlier start: no density here; enter the support on both sides
-        g = f.g
-        ys = f._ys
+        # outlier start: search from the cut points where the density
+        # begins on either side
+        g, ys = f.g, f._ys
         idx = int(np.searchsorted(ys, start))
         cands = []
         if idx < ys.size:
-            entry = (ys[idx] - g) + g * 2.0 ** -20
-            cands.append(_ascend(f, entry, +1.0, tol, max_iter))
+            cands.append(_ascend(f, ys[idx] - g, +1.0, tol, max_iter))
         if idx > 0:
-            entry = (ys[idx - 1] + g) - g * 2.0 ** -20
-            cands.append(_ascend(f, entry, -1.0, tol, max_iter))
-        mode, iters, conv, scan = _pick_closer(start, cands)
+            cands.append(_ascend(f, ys[idx - 1] + g, -1.0, tol, max_iter))
+        mode, iters, conv = _pick_closer(start, cands)
         return ModeResult(mode=mode, iterations=iters, direction="both",
-                          converged=conv, field_value=f.eval_value(mode),
-                          used_scan=scan)
+                          converged=conv, field_value=f.eval_value(mode))
     if abs(fp) <= tol:
-        if fpp < 0.0:
-            return ModeResult(mode=start, iterations=0, direction="stay",
-                              converged=True, field_value=fv, used_scan=False)
-        cands = [_ascend(f, start, +1.0, tol, max_iter),
-                 _ascend(f, start, -1.0, tol, max_iter)]
-        mode, iters, conv, scan = _pick_closer(start, cands)
-        return ModeResult(mode=mode, iterations=iters, direction="both",
-                          converged=conv, field_value=f.eval_value(mode),
-                          used_scan=scan)
+        return ModeResult(mode=start, iterations=0, direction="stay",
+                          converged=True, field_value=fv)
     d = 1.0 if fp > 0.0 else -1.0
-    mode, iters, conv, scan = _ascend(f, start, d, tol, max_iter)
+    mode, iters, conv = _ascend(f, start, d, tol, max_iter)
     return ModeResult(mode=mode, iterations=iters,
                       direction="up" if d > 0 else "down",
-                      converged=conv, field_value=f.eval_value(mode),
-                      used_scan=scan)
+                      converged=conv, field_value=f.eval_value(mode))

@@ -84,7 +84,6 @@ class SmoothReport:
     interior_trim_count: int
     trimmed_total: int
     median_fallback_pixels: int
-    scan_pixels: int
     nonconverged_pixels: int
     wall_time_s: float
 
@@ -152,8 +151,8 @@ def auto_scale(img: Image, radius_px: int = 2) -> float:
 
 def _mode_pixel(values: np.ndarray, kappa: np.ndarray, start: float,
                 bandwidth: float, trim_fraction: float, tol: float,
-                max_iter: int) -> tuple[float, int, bool, bool, bool]:
-    """One pixel estimate: (mode, r, median_fallback, used_scan, converged)."""
+                max_iter: int) -> tuple[float, int, bool, bool]:
+    """One pixel estimate: (mode, r, median_fallback, converged)."""
     if trim_fraction > 0.0:
         _, mask, _, r = trim_values(values, trim_fraction)
     else:
@@ -161,9 +160,9 @@ def _mode_pixel(values: np.ndarray, kappa: np.ndarray, start: float,
     try:
         fld = DensityField(values, kappa, bandwidth, mask)
     except DegenerateFieldError:
-        return _lower_median(np.sort(values)), r, True, False, True
+        return _lower_median(np.sort(values)), r, True, True
     res = nearest_mode(fld, start, tol, max_iter)
-    return res.mode, r, False, res.used_scan, res.converged
+    return res.mode, r, False, res.converged
 
 
 def smooth(img: Image, params: SmootherParams = SmootherParams()
@@ -187,7 +186,6 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
     trimmed_total = 0
     interior_r = 0
     fallbacks = 0
-    scans = 0
     nonconv = 0
     for i0 in range(H):
         for j0 in range(W):
@@ -199,7 +197,7 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
             else:
                 kappa = k2(win.offsets[:, 0], win.offsets[:, 1]) * knorm
             start = float(img.pixels[i0, j0])
-            mode, r, fb, used_scan, conv = _mode_pixel(
+            mode, r, fb, conv = _mode_pixel(
                 win.values, kappa, start, g, params.trim_fraction,
                 params.tol, params.max_iter)
             out[i0, j0] = mode
@@ -207,15 +205,13 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
             if len(win) == full:
                 interior_r = r
             fallbacks += fb
-            scans += used_scan
             nonconv += not conv
     report = SmoothReport(
         width=W, height=H, radius_px=w, bandwidth=g, bandwidth_mode=g_mode,
         trim_fraction=params.trim_fraction, border=params.border,
         tol=params.tol, max_iter=params.max_iter,
         interior_trim_count=interior_r, trimmed_total=trimmed_total,
-        median_fallback_pixels=fallbacks, scan_pixels=scans,
-        nonconverged_pixels=nonconv,
+        median_fallback_pixels=fallbacks, nonconverged_pixels=nonconv,
         wall_time_s=time.perf_counter() - t0)
     return Image(out), report
 
@@ -238,7 +234,7 @@ def window_mode_estimate(values, params: SmootherParams,
     u2 = np.tile(lat, 2 * w + 1)
     kappa = k2(u1, u2) / (w * w)
     start = float(vals[k // 2])
-    mode, _, _, _, _ = _mode_pixel(vals, kappa, start, bandwidth,
+    mode, _, _, _ = _mode_pixel(vals, kappa, start, bandwidth,
                                    params.trim_fraction, params.tol,
                                    params.max_iter)
     return mode

@@ -42,6 +42,62 @@ def ref_field(ys, ks, g):
     return F, F1, F2
 
 
+def ref_first_crossing(ys, ks, g, start, d, n_per_g=2000):
+    """First zero of d*F' beyond `start` in direction d (+1 or -1).
+
+    d*F' is sampled on a grid of spacing g / n_per_g from the start and
+    just short of every kernel cut point y_i -/+ g ahead, so a sign change
+    between two samples is never hidden by a jump at a cut.  The first
+    sample with d*F' <= 0 and the one before it bracket the zero, which
+    sign bisection then refines.  Nothing here assumes the shape of F.
+    """
+    ys = np.asarray(ys, dtype=float)
+    _, F1, _ = ref_field(ys, ks, g)
+    end = ys.max() + g if d > 0 else ys.min() - g
+    cuts = np.concatenate([ys - g, ys + g])
+    ahead = cuts[(cuts - start) * d > 0] - d * 1e-12 * g
+    h = g / n_per_g
+    grid = start + d * h * np.arange(1, int(abs(end - start) / h) + 2)
+    samples = np.sort(np.concatenate([grid, ahead]))
+    if d < 0:
+        samples = samples[::-1]
+    prev = start
+    for chunk in np.array_split(samples, max(1, samples.size // 4096)):
+        neg = np.nonzero(d * F1(chunk) <= 0.0)[0]
+        if neg.size:
+            k = int(neg[0])
+            a, b = (prev if k == 0 else chunk[k - 1]), chunk[k]
+            for _ in range(100):
+                mid = 0.5 * (a + b)
+                if d * F1(mid)[0] > 0.0:
+                    a = mid
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+        prev = chunk[-1]
+    raise AssertionError("d*F' stayed positive up to the support end")
+
+
+def ref_nearest_mode(ys, ks, g, start, tol=1e-8):
+    """Nearest mode by the documented search policy, via the grid above."""
+    ys = np.asarray(ys, dtype=float)
+    F, F1, _ = ref_field(ys, ks, g)
+    if F(start)[0] > 0.0:
+        fp = F1(start)[0]
+        if abs(fp) <= tol:
+            return start
+        return ref_first_crossing(ys, ks, g, start, 1.0 if fp > 0 else -1.0)
+    # outlier start: search away from it from where the density begins
+    cands = []
+    if np.any(ys > start):
+        cands.append(ref_first_crossing(ys, ks, g, ys[ys > start].min() - g,
+                                        1.0))
+    if np.any(ys < start):
+        cands.append(ref_first_crossing(ys, ks, g, ys[ys < start].max() + g,
+                                        -1.0))
+    return min(cands, key=lambda m: (abs(m - start), m))
+
+
 def ref_lts_center(values, r):
     """Brute-force least trimmed squares over contiguous sorted blocks.
 

@@ -6,7 +6,8 @@ import pytest
 from tmsmooth.mode_density import (DEFAULT_TOL, DegenerateFieldError,
                                    DensityField, nearest_mode)
 
-from conftest import ref_field, random_positive_field
+from conftest import (random_positive_field, ref_field, ref_lattice_weights,
+                      ref_nearest_mode)
 
 
 def make_field(vals, wts, g, retained=None):
@@ -34,11 +35,25 @@ def test_zero_weight_entries_do_not_contribute():
     assert f_all.support == f_one.support
 
 
-def test_support_and_components():
+def test_support_hull():
     f = make_field([0.0, 1.0, 100.0], [1.0, 1.0, 1.0], 10.0)
     assert f.support == (-10.0, 110.0)
-    comps = f.components()
-    assert comps == [(-10.0, 11.0), (90.0, 110.0)]
+
+
+def test_concave_between_cuts_and_derivative_jumps_up(rng):
+    # the two facts the search rests on: F'' < 0 wherever F > 0, and at a
+    # cut point F' only rises, so d*F' jumps upward in either direction d
+    for _ in range(200):
+        vals, wts, g = random_positive_field(rng)
+        F, F1, F2 = ref_field(vals, wts, g)
+        cuts = np.concatenate([vals - g, vals + g])
+        eps = 1e-12 * g
+        ys = np.concatenate([
+            rng.uniform(vals.min() - g, vals.max() + g, size=256),
+            cuts - eps, cuts + eps])
+        inside = F(ys) > 0.0
+        assert np.all(F2(ys)[inside] < 0.0)
+        assert np.all(F1(cuts + eps) - F1(cuts - eps) > -1e-10)
 
 
 def test_matches_reference_on_random_fields(rng):
@@ -185,6 +200,49 @@ def test_mode_contract_on_random_fields(rng):
             assert abs(float(f.d1(res.mode))) <= DEFAULT_TOL
             assert res.field_value == pytest.approx(fv, abs=1e-12)
     assert checked > 250  # convergence is the norm, not the exception
+
+
+# an 81-entry window of the ramp_wide benchmark input (seed 1, pixel
+# (18, 51)), rounded to 0.1: kernel cut points lie between the centre value
+# and the first zero of F' below it, and another mode lies 12 levels lower
+RAMP_WINDOW = np.array([
+    [127.6, 119.6, 136.9, 113.2, 124.8, 128.0, 129.0, 130.7, 108.6],
+    [121.0, 112.9, 120.2, 122.1, 122.4, 122.7, 141.3, 109.3, 123.7],
+    [132.1, 102.7, 119.9, 122.5, 119.2, 129.7, 115.4, 135.4, 137.2],
+    [107.5, 143.5, 123.5, 116.4, 124.4, 131.4, 131.7, 129.8, 123.5],
+    [136.6, 129.9, 117.9, 121.3, 140.3, 118.2, 137.8, 146.1, 142.7],
+    [123.9, 131.7, 123.2, 127.7, 144.2, 104.3, 143.4, 138.0, 120.3],
+    [128.9, 124.0, 154.5, 144.6, 128.8, 144.6, 139.9, 130.6, 125.4],
+    [125.1, 138.3, 119.3, 119.8, 138.0, 150.3, 138.2, 140.7, 132.5],
+    [135.8, 118.2, 119.9, 133.9, 126.6, 105.9, 141.7, 121.7, 135.2]])
+
+
+def test_ramp_window_stops_at_first_zero():
+    vals, wts, g = RAMP_WINDOW.ravel(), ref_lattice_weights(4), 13.0
+    res = nearest_mode(make_field(vals, wts, g), 140.3)
+    assert res.direction == "down"
+    assert res.converged
+    assert res.mode == pytest.approx(ref_nearest_mode(vals, wts, g, 140.3),
+                                     abs=1e-4 * g)
+    assert res.mode == pytest.approx(137.450, abs=1e-3)
+
+
+def test_first_zero_matches_grid_reference_on_random_fields(rng):
+    # strays put kernel cut points between many starts and their modes
+    crossed = 0
+    for _ in range(300):
+        vals, wts, g = random_positive_field(rng)
+        f = make_field(vals, wts, g)
+        lo, hi = f.support
+        start = float(rng.uniform(lo - 0.5 * g, hi + 0.5 * g))
+        res = nearest_mode(f, start)
+        ref = ref_nearest_mode(vals, wts, g, start)
+        assert res.converged
+        assert res.mode == pytest.approx(ref, abs=1e-4 * g)
+        a, b = sorted((start, res.mode))
+        cuts = np.concatenate([vals - g, vals + g])
+        crossed += bool(np.any((cuts > a) & (cuts < b)))
+    assert crossed > 100
 
 
 def test_unimodal_cluster_finds_global_max(rng):

@@ -173,7 +173,8 @@ def test_smooth_report_fields(rng):
     assert rep.wall_time_s >= 0.0
     d = rep.to_dict()
     assert d["border"] == "clip"
-    assert set(d) >= {"bandwidth", "scan_pixels", "nonconverged_pixels"}
+    assert set(d) >= {"bandwidth", "median_fallback_pixels",
+                      "nonconverged_pixels"}
 
 
 def test_translation_equivariance_with_fixed_bandwidth(rng):
