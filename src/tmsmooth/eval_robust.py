@@ -31,7 +31,8 @@ from numpy.random import Generator, Philox
 
 from .grid_image import Image
 from .lts_trim import trim_count
-from .smoother import SmootherParams, _quartile_ranks, window_mode_estimate
+from .scene_noise import _rekey
+from .smoother import SmootherParams, _window_iqr, window_mode_estimate
 
 DEFAULT_MAGNITUDES = (1e3, 1e6, 1e9)
 DEFAULT_STRATEGIES = ("all_plus", "all_minus", "center", "split",
@@ -113,8 +114,9 @@ def metrics(truth: Image, estimate: Image,
 def tm_support_bound(y_min: float, y_max: float, count: int, r: int,
                      bandwidth: float) -> tuple[float, float]:
     """Interval guaranteed to contain the trimmed estimate when at most
-    r of the count window values are replaced."""
-    if y_max < y_min:
+    r of the count window values are replaced (elementwise over arrays of
+    extremes)."""
+    if np.any(np.less(y_max, y_min)):
         raise ValueError("y_max must be >= y_min")
     if not (0 <= r < count):
         raise ValueError("need 0 <= r < count")
@@ -190,9 +192,7 @@ def _strategy_values(name: str, count: int, magnitude: float,
 def _probe_bandwidth(values: np.ndarray, params: SmootherParams) -> float:
     if params.bandwidth is not None:
         return params.bandwidth
-    srt = np.sort(values)
-    lo, hi = _quartile_ranks(srt.size)
-    iqr = float(srt[hi] - srt[lo])
+    iqr = float(_window_iqr(values))
     return iqr if iqr > 1e-6 else PROBE_FALLBACK_BANDWIDTH
 
 
@@ -237,37 +237,37 @@ def max_bias_probe(values, r: int,
 
     order = _positions_by_centrality(side)
     noncenter = order[1:]
-    worst = 0.0
-    bound_violations = 0
-
-    def run(positions: list[int], repl: np.ndarray) -> None:
-        nonlocal worst, bound_violations
-        contaminated = vals.copy()
-        contaminated[positions] = repl
-        est = window_mode_estimate(contaminated, params, g)
-        worst = max(worst, abs(est - clean_est))
-        if check_bound:
-            keep = np.ones(n, dtype=bool)
-            keep[positions] = False
-            ilo, ihi = tm_support_bound(float(contaminated[keep].min()),
-                                        float(contaminated[keep].max()),
-                                        n, r_trim, g)
-            if not (ilo <= est <= ihi):
-                bound_violations += 1
-
+    cases: list[tuple[list[int], np.ndarray]] = []
     for name in strategies:
         pool = order if name == "center" else noncenter
         for k in range(1, min(r, len(pool)) + 1):
             for mag in magnitudes:
-                run(pool[:k], _strategy_values(name, k, mag, clean_est))
+                cases.append((pool[:k],
+                              _strategy_values(name, k, mag, clean_est)))
     if r > 0 and random_trials > 0:
         vmax = max(magnitudes) if magnitudes else DEFAULT_MAGNITUDES[-1]
+        gen = Generator(Philox(0))
         for trial in range(random_trials):
-            gen = Generator(Philox(key=np.array([seed, trial],
-                                                dtype=np.uint64)))
+            _rekey(gen, [seed, trial])
             positions = gen.choice(n, size=r, replace=False).tolist()
-            repl = gen.uniform(-vmax, vmax, size=r)
-            run(positions, repl)
+            cases.append((positions, gen.uniform(-vmax, vmax, size=r)))
+    # every contaminated window, estimated in one stacked call
+    contaminated = np.tile(vals, (len(cases), 1))
+    replaced = np.zeros(contaminated.shape, dtype=bool)
+    for row, (positions, repl) in enumerate(cases):
+        contaminated[row, positions] = repl
+        replaced[row, positions] = True
+    est = window_mode_estimate(contaminated, params, g)
+    worst = float(np.abs(est - clean_est).max(initial=0.0))
+    bound_violations = 0
+    if check_bound:
+        # support interval of each instance from the values NOT replaced
+        ilo, ihi = tm_support_bound(
+            np.where(replaced, np.inf, contaminated).min(axis=1),
+            np.where(replaced, -np.inf, contaminated).max(axis=1),
+            n, r_trim, g)
+        bound_violations = int(np.count_nonzero(~((ilo <= est)
+                                                  & (est <= ihi))))
 
     violated = bound is not None and worst > bound
     return BiasProbeReport(

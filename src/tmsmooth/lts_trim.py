@@ -31,56 +31,59 @@ def trim_count(n: int, trim_fraction: float) -> int:
     return int(math.floor(n * trim_fraction))
 
 
-def lts_center(values, r: int) -> float:
+def lts_center(values, r: int):
     """Exact 1-D LTS location estimate with r values trimmed.
 
-    Returns the mean of the contiguous sorted block of size len(values) - r
-    with minimal within-block sum of squared deviations.
+    Returns the mean of the contiguous sorted block of size n - r with
+    minimal within-block sum of squared deviations.  Values run along the
+    last axis; leading axes are independent windows (a float for 1-D input).
     """
-    vals = np.asarray(values, dtype=float).ravel()
-    n = vals.size
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    n = vals.shape[-1]
     if n == 0:
         raise ValueError("lts_center needs at least one value")
     if not (0 <= r < n):
         raise ValueError(f"trim count r={r} must satisfy 0 <= r < {n}")
     h = n - r
-    s = np.sort(vals)
+    s = np.sort(vals, axis=-1)
     if r == 0:
-        return float(np.mean(s))
-    blocks = np.lib.stride_tricks.sliding_window_view(s, h)
-    # order blocks by h * SS = h * sum(x'^2) - (sum x')^2 with an integer
-    # shift: every intermediate is exact in float for integer-valued data,
-    # so equal-scatter blocks compare exactly equal and argmin's
-    # first-occurrence rule implements the smaller-start-index tie rule
-    shift = float(round(float(s[(n - 1) // 2])))
-    sb = blocks - shift
-    ssq = h * (sb * sb).sum(axis=1) - sb.sum(axis=1) ** 2
-    best = int(np.argmin(ssq))
-    return float(blocks[best].mean())
+        center = s.mean(axis=-1)
+    else:
+        blocks = np.lib.stride_tricks.sliding_window_view(s, h, axis=-1)
+        # order blocks by h * SS = h * sum(x'^2) - (sum x')^2 with an integer
+        # shift: every intermediate is exact in float for integer-valued
+        # data, so equal-scatter blocks compare exactly equal and argmin's
+        # first-occurrence rule implements the smaller-start-index tie rule
+        shift = np.round(s[..., (n - 1) // 2])[..., None, None]
+        sb = blocks - shift
+        ssq = h * (sb * sb).sum(axis=-1) - sb.sum(axis=-1) ** 2
+        best = np.argmin(ssq, axis=-1)[..., None, None]
+        center = np.take_along_axis(blocks, best, axis=-2)[..., 0, :].mean(
+            axis=-1)
+    return float(center) if vals.ndim == 1 else center
 
 
-def trim_values(values, trim_fraction: float) -> tuple[float, np.ndarray, float, int]:
+def trim_values(values, trim_fraction: float):
     """Array-level trimming: (lts_centre, retained mask, threshold, r).
 
-    Entries are assumed to be in window order, i.e. ascending (row, column);
-    threshold ties are dropped from the back of that order.
+    Entries run along the last axis in window order, i.e. ascending (row,
+    column); threshold ties are dropped from the back of that order.
+    Leading axes are independent windows of the same size, all trimmed by
+    the same r.
     """
-    vals = np.asarray(values, dtype=float).ravel()
-    n = vals.size
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    n = vals.shape[-1]
     if n == 0:
         raise ValueError("cannot trim an empty window")
     r = trim_count(n, trim_fraction)
     keep = n - r
     center = lts_center(vals, r)
+    resid = (vals - np.expand_dims(center, -1)) ** 2
     if r == 0:
-        resid = (vals - center) ** 2
-        thr = float(np.max(resid))
-        return center, np.ones(n, dtype=bool), thr, 0
-    resid = (vals - center) ** 2
-    thr = float(np.partition(resid, keep - 1)[keep - 1])
-    below = resid < thr
-    tied = resid == thr
-    need = keep - int(np.count_nonzero(below))
-    tie_rank = np.cumsum(tied)
-    mask = below | (tied & (tie_rank <= need))
+        return center, np.ones(vals.shape, dtype=bool), resid.max(axis=-1), 0
+    thr = np.take(np.partition(resid, keep - 1, axis=-1), keep - 1, axis=-1)
+    below = resid < thr[..., None]
+    tied = resid == thr[..., None]
+    need = keep - np.count_nonzero(below, axis=-1)
+    mask = below | (tied & (np.cumsum(tied, axis=-1) <= need[..., None]))
     return center, mask, thr, r

@@ -35,6 +35,13 @@ Search policy, given F = field value and F' its derivative at the start:
 The root solver stops once |F'| <= tol and returns one more Newton step
 from there; `max_iter` caps its number of steps, and a search that hits
 the cap is reported as not converged.
+
+The search runs on a stack of fields at once, in lock step: each pass of
+the walk checks the next WALK_CUTS cut points of every row still walking,
+each pass of the root solver takes one step on every row still solving,
+and a row leaves the batch when it is done.  A downward search runs as an
+upward one on the mirrored field (y -> -y), which negates every
+intermediate exactly.  nearest_mode is the batch of one.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from .kernels import _GAUSS_COEF, l0, l1, l2
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
+# cut points the search checks per lock-step pass
+WALK_CUTS = 4
 
 
 class DegenerateFieldError(ValueError):
@@ -134,37 +143,22 @@ class DensityField:
         out = (self._ks * l2(v)).sum(axis=-1) / self.g ** 3
         return float(out) if y_arr.ndim == 0 else out
 
-    # -- fast scalar evaluation for the mode search -----------------------
+    # -- fast scalar evaluation ------------------------------------------
 
-    def eval_all(self, y: float, active: slice | None = None
-                 ) -> tuple[float, float, float]:
-        """(F, F', F'') at a scalar y, sharing one exponential pass.
-
-        `active` selects a run of kernels in ascending order of their
-        centres and sums them without truncation: the smooth piece of F
-        on one segment between cut points, extended to its ends.
-        """
-        if active is None:
-            v = (y - self._ys) / self.g
-            t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v),
-                         0.0)
-        else:
-            v = (y - self._ys[active]) / self.g
-            t = self._kc[active] * np.exp(-0.5 * v * v)
+    def eval_all(self, y: float) -> tuple[float, float, float]:
+        """(F, F', F'') at a scalar y, sharing one exponential pass."""
+        v = (y - self._ys) / self.g
+        t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v), 0.0)
         f = float(t.sum())
         fp = float(-(v * t).sum() / self.g)
         fpp = float(((v * v - 1.0) * t).sum() / (self.g * self.g))
         return f, fp, fpp
 
     def eval_value(self, y: float) -> float:
-        v = (y - self._ys) / self.g
-        t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v), 0.0)
-        return float(t.sum())
+        return self.eval_all(y)[0]
 
     def eval_d1(self, y: float) -> float:
-        v = (y - self._ys) / self.g
-        t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v), 0.0)
-        return float(-(v * t).sum() / self.g)
+        return self.eval_all(y)[1]
 
 
 @dataclass(frozen=True)
@@ -179,55 +173,130 @@ class ModeResult:
     used_scan: bool = False  # always False: the search has no scan fallback
 
 
-def _ascend(f: DensityField, y0: float, d: float, tol: float,
-            max_iter: int) -> tuple[float, int, bool]:
-    """First zero of d*F' beyond y0, where d*F' > 0 just beyond y0."""
-    enter, leave = f._ys - f.g, f._ys + f.g
-    cuts = np.unique(np.concatenate([enter, leave]))
-    if d > 0.0:
-        ahead, side = cuts[cuts > y0], "left"
-    else:
-        ahead, side = cuts[cuts < y0][::-1], "right"
-    # the segment that ends at a cut holds the kernels entered and not yet
-    # left on the near side of it: a run of consecutive sorted entries
-    first = np.searchsorted(leave, ahead, side)
-    stop = np.searchsorted(enter, ahead, side)
-    near = y0
-    for far, i, j in zip(ahead.tolist(), first.tolist(), stop.tolist()):
-        seg = slice(i, j)
-        _, fp, fpp = f.eval_all(far, seg)
-        if d * fp <= 0.0:
-            break
-        near = far
-    # the last cut ends the support, where d*F' < 0, so the loop broke:
-    # the root of F' on `seg` lies in [near, far]
-    y = far
-    for it in range(1, max_iter + 1):
-        lo, hi = min(near, far), max(near, far)
-        y_new = y - fp / fpp if fpp < 0.0 else near
-        if not lo < y_new < hi:
-            y_new = 0.5 * (near + far)
-            if not lo < y_new < hi:
-                return y, it - 1, False
-        y = y_new
-        _, fp, fpp = f.eval_all(y, seg)
-        if abs(fp) <= tol:
-            # |F'| <= tol leaves y up to tol / |F''| from the root; one more
-            # Newton step costs no evaluation and squares that distance
-            y_new = y - fp / fpp if fpp < 0.0 else y
-            return (y_new if lo < y_new < hi else y), it, True
-        if d * fp > 0.0:
-            near = y
-        else:
-            far = y
-    return y, max_iter, False
+def _seg_derivs(y, ys, kc, seg, g):
+    """(F', F'') at y, summing the kernels of `seg` untruncated; the kernel
+    axis is the last one of ys, kc and seg and is summed out."""
+    v = (y[..., None] - ys) / g
+    t = np.where(seg, kc * np.exp(-0.5 * v * v), 0.0)
+    fpp = ((v * v - 1.0) * t).sum(axis=-1) / (g * g)
+    return -(v * t).sum(axis=-1) / g, fpp
 
 
-def _pick_closer(start: float, cands: list[tuple[float, int, bool]]
-                 ) -> tuple[float, int, bool]:
-    """Closest candidate mode; equidistant picks the smaller intensity."""
-    mode, _, conv = min(cands, key=lambda c: (abs(c[0] - start), c[0]))
-    return mode, sum(c[1] for c in cands), conv
+def _climb(ys, kc, g, y0, tol, max_iter):
+    """First zero of F' above y0[p] per row, where F' > 0 just above y0[p].
+
+    Rows are independent fields; kc == 0 marks a slot without a kernel.
+    Every row runs the same steps in lock step, and a row leaves the batch
+    when it is done.  Returns (mode, root-solver steps, converged).
+    """
+    live = kc > 0.0
+    enter = np.where(live, ys - g, np.nan)
+    leave = np.where(live, ys + g, np.nan)
+    cuts = np.sort(np.concatenate([enter, leave], axis=1), axis=1)
+    nxt = np.count_nonzero(cuts <= y0[:, None], axis=1)
+    near, far, fp, fpp = y0.copy(), np.empty_like(y0), np.empty_like(y0), \
+        np.empty_like(y0)
+    seg = np.empty(ys.shape, dtype=bool)
+    rows = np.arange(y0.size)
+    ahead = np.arange(WALK_CUTS)
+    while rows.size:
+        # the next WALK_CUTS cuts of each row at once; the segment that ends
+        # at cut x holds the kernels entered and not yet left just below x.
+        # The last cut of a support component ends it with F' < 0 there,
+        # so every row stops (indices past the last cut repeat it)
+        idx = np.minimum(nxt[rows, None] + ahead, cuts.shape[1] - 1)
+        x = np.take_along_axis(cuts[rows], idx, axis=1)
+        ent, lv = enter[rows, None], leave[rows, None]
+        m = (ent < x[..., None]) & (x[..., None] <= lv)
+        p, pp = _seg_derivs(x, ys[rows, None], kc[rows, None], m, g)
+        hit = p <= 0.0
+        stop = hit.any(axis=1)
+        k = hit.argmax(axis=1)[stop]
+        done, s = rows[stop], np.flatnonzero(stop)
+        far[done], fp[done], fpp[done] = x[s, k], p[s, k], pp[s, k]
+        seg[done] = m[s, k]
+        near[done[k > 0]] = x[s[k > 0], k[k > 0] - 1]
+        rows = rows[~stop]
+        near[rows] = x[~stop, -1]
+        nxt[rows] += WALK_CUTS
+    # the root of F' on `seg` lies in [near, far]: Newton, bisecting when a
+    # step leaves the bracket, plus one final Newton step that costs no
+    # evaluation (|F'| <= tol leaves y up to tol / |F''| from the root)
+    y = far.copy()
+    iters = np.full(y0.size, max_iter)
+    conv = np.zeros(y0.size, dtype=bool)
+    rows = np.arange(y0.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if not rows.size:
+                break
+            lo, hi, p, pp = near[rows], far[rows], fp[rows], fpp[rows]
+            yn = np.where(pp < 0.0, y[rows] - p / pp, lo)
+            out = ~((lo < yn) & (yn < hi))
+            yn[out] = 0.5 * (lo[out] + hi[out])
+            stuck = ~((lo < yn) & (yn < hi))
+            iters[rows[stuck]] = it - 1
+            keep = ~stuck
+            rows, yn, lo, hi = rows[keep], yn[keep], lo[keep], hi[keep]
+            p, pp = _seg_derivs(yn, ys[rows], kc[rows], seg[rows], g)
+            y[rows] = yn
+            ok = np.abs(p) <= tol
+            yf = np.where(pp < 0.0, yn - p / pp, yn)
+            y[rows[ok]] = np.where((lo < yf) & (yf < hi), yf, yn)[ok]
+            iters[rows[ok]] = it
+            conv[rows[ok]] = True
+            up = p > 0.0
+            near[rows[~ok & up]] = yn[~ok & up]
+            far[rows[~ok & ~up]] = yn[~ok & ~up]
+            fp[rows], fpp[rows] = p, pp
+            rows = rows[~ok]
+    return y, iters, conv
+
+
+def _nearest_modes(ys, ks, g, start, tol, max_iter):
+    """Nearest-mode search for a stack of fields (see module docstring).
+
+    Row p holds kernel centres ys[p] with spatial weights ks[p] (weight 0:
+    no kernel) and starts at start[p].  Returns (mode, iterations,
+    direction, converged) per row, direction 1 up, -1 down, 0 stay and
+    2 both.
+    """
+    kc = ks * (_GAUSS_COEF / g)
+    v = (start[:, None] - ys) / g
+    t = np.where(np.abs(v) < 1.0, kc * np.exp(-0.5 * v * v), 0.0)
+    fp = -(v * t).sum(axis=1) / g
+    d = np.where(t.sum(axis=1) <= 0.0, 2,
+                 np.where(np.abs(fp) <= tol, 0, np.sign(fp))).astype(int)
+    climb, both = np.flatnonzero(abs(d) == 1), np.flatnonzero(d == 2)
+    # outlier start: search away from it from the cut point where the
+    # density begins on either side
+    live = kc[both] > 0.0
+    above = ys[both] > start[both, None]
+    up = np.where(live & above, ys[both], np.inf).min(axis=1) - g
+    down = np.where(live & ~above, ys[both], -np.inf).max(axis=1) + g
+    src = np.concatenate([climb, both, both])
+    sgn = np.concatenate([d[climb], np.repeat([1, -1], both.size)])
+    y0 = np.concatenate([start[climb], up, down])
+    go = np.isfinite(y0)
+    src, sgn, y0 = src[go], sgn[go], y0[go]
+    m, it, ok = _climb(sgn[:, None] * ys[src], kc[src], g, sgn * y0, tol,
+                       max_iter)
+    # slot 0 holds the upward results and the stays, slot 1 the downward
+    # ones; only an outlier start fills both, and then the candidate closer
+    # to the start wins, a tie picking the smaller (downward) intensity
+    slot = (sgn < 0).astype(int)
+    cand = np.full((2, start.size), np.nan)
+    iters = np.zeros((2, start.size), dtype=int)
+    conv = np.ones((2, start.size), dtype=bool)
+    cand[0, d == 0] = start[d == 0]
+    cand[slot, src], iters[slot, src], conv[slot, src] = sgn * m, it, ok
+    dist = np.abs(cand - start)
+    pick = ((dist[1] <= dist[0]) | np.isnan(dist[0])).astype(int)
+    rows = np.arange(start.size)
+    return cand[pick, rows], iters.sum(axis=0), d, conv[pick, rows]
+
+
+_DIRECTIONS = {1: "up", -1: "down", 0: "stay", 2: "both"}
 
 
 def nearest_mode(f: DensityField, start: float, tol: float = DEFAULT_TOL,
@@ -239,25 +308,10 @@ def nearest_mode(f: DensityField, start: float, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    fv, fp, _ = f.eval_all(start)
-    if fv <= 0.0:
-        # outlier start: search from the cut points where the density
-        # begins on either side
-        g, ys = f.g, f._ys
-        idx = int(np.searchsorted(ys, start))
-        cands = []
-        if idx < ys.size:
-            cands.append(_ascend(f, ys[idx] - g, +1.0, tol, max_iter))
-        if idx > 0:
-            cands.append(_ascend(f, ys[idx - 1] + g, -1.0, tol, max_iter))
-        mode, iters, conv = _pick_closer(start, cands)
-        return ModeResult(mode=mode, iterations=iters, direction="both",
-                          converged=conv, field_value=f.eval_value(mode))
-    if abs(fp) <= tol:
-        return ModeResult(mode=start, iterations=0, direction="stay",
-                          converged=True, field_value=fv)
-    d = 1.0 if fp > 0.0 else -1.0
-    mode, iters, conv = _ascend(f, start, d, tol, max_iter)
-    return ModeResult(mode=mode, iterations=iters,
-                      direction="up" if d > 0 else "down",
-                      converged=conv, field_value=f.eval_value(mode))
+    mode, iters, d, conv = _nearest_modes(
+        f._ys[None], f._ks[None], f.g, np.array([float(start)]), tol,
+        max_iter)
+    mode = float(mode[0])
+    return ModeResult(mode=mode, iterations=int(iters[0]),
+                      direction=_DIRECTIONS[int(d[0])],
+                      converged=bool(conv[0]), field_value=f.eval_value(mode))

@@ -211,9 +211,20 @@ class NoiseSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _pixel_noise(spec: NoiseSpec, i: int, j: int, clean: float) -> float:
-    key = np.array([spec.seed, (i << 32) | j], dtype=np.uint64)
-    gen = Generator(Philox(key=key))
+_FRESH = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(gen: Generator, key) -> Generator:
+    """Reset a Philox-backed `gen` to the full state (key, zero counter,
+    empty buffers) that Generator(Philox(key=key)) starts in."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH, "key": np.asarray(key, dtype=np.uint64)},
+        "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _pixel_noise(spec: NoiseSpec, gen: Generator, clean: float) -> float:
     u = gen.random()
     if u < spec.p_white:
         return spec.white_value
@@ -242,9 +253,12 @@ def add_noise(img: Image, spec: NoiseSpec) -> Image:
         raise ValueError("image dimensions must fit in 32 bits")
     out = np.empty((H, W))
     pix = img.pixels
+    gen = Generator(Philox(0))
     for i in range(H):
         for j in range(W):
-            out[i, j] = _pixel_noise(spec, i, j, float(pix[i, j]))
+            out[i, j] = _pixel_noise(
+                spec, _rekey(gen, [spec.seed, (i << 32) | j]),
+                float(pix[i, j]))
     return Image(out)
 
 

@@ -14,23 +14,38 @@ the ceiling ranks ceil(0.25 k) and ceil(0.75 k) of the k sorted values and
 the median of an even count taken at the lower middle.  Nearly constant
 images make this collapse; a bandwidth below 1e-6 raises
 DegenerateScaleError instead of smoothing with a degenerate kernel.
+
+Whole images are processed in row bands of stacked windows, not pixel by
+pixel.  A band holds as many image rows as fit BAND_ENTRIES window entries
+(at least one row), read from a sliding-window view of the padded image:
+edge padding for "replicate", NaN for the entries a "clip" window lacks.
+Each band is trimmed in groups of equal entry count and then searched in
+lock step (see mode_density), so working memory beyond the input and
+output images scales with the band, not with the image.  No row's
+arithmetic depends on the other rows of its band: the output is
+bit-identical for every band size and traversal order.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid_image import Image, window_at
+from . import lts_trim, mode_density
+# window_at, trim_values, DensityField and nearest_mode are not called here;
+# they stay importable from this module for code that rebinds them on it,
+# such as the traced benchmark run (perfbench/spans.py)
+from .grid_image import Image, window_at  # noqa: F401
 from .kernels import k2
-from .lts_trim import trim_values
-from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL, DegenerateFieldError,
+from .lts_trim import trim_count, trim_values  # noqa: F401
+from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,  # noqa: F401
                            DensityField, nearest_mode)
 
 DEGENERATE_SCALE_FLOOR = 1e-6
+# window entries per row band: bounds the working set of one batched pass
+BAND_ENTRIES = 1 << 14
 
 
 class DegenerateScaleError(ValueError):
@@ -91,57 +106,54 @@ class SmoothReport:
         return asdict(self)
 
 
-def _quartile_ranks(k: int) -> tuple[int, int]:
-    """0-based ceiling ranks of the lower and upper quartile."""
-    return math.ceil(0.25 * k) - 1, math.ceil(0.75 * k) - 1
+def _bands(img: Image, radius_px: int, border: str):
+    """(first pixel, (P, k) window stack) per row band of the image.
+
+    Row p of a stack holds the window of pixel first + p in row-major
+    order; entries outside a "clip" image are NaN.  A band holds as many
+    whole image rows as fit BAND_ENTRIES window entries, at least one.
+    """
+    w, H, W = radius_px, img.height, img.width
+    side = 2 * w + 1
+    if border == "replicate":
+        pad = np.pad(img.pixels, w, mode="edge")
+    else:
+        pad = np.pad(img.pixels, w, constant_values=np.nan)
+    view = np.lib.stride_tricks.sliding_window_view(pad, (side, side))
+    step = max(1, BAND_ENTRIES // (W * side * side))
+    for i in range(0, H, step):
+        yield i * W, view[i:i + step].reshape(-1, side * side)
 
 
-def _lower_median(sorted_vals: np.ndarray) -> float:
-    """Median taking the lower middle value for even counts."""
-    return float(sorted_vals[(sorted_vals.size + 1) // 2 - 1])
+def _quantiles(win: np.ndarray, *qs: float) -> list[np.ndarray]:
+    """Per row, the ceil(q n)-th smallest of the n non-NaN entries along
+    the last axis, for each q: the quartile and median rank rule."""
+    s = np.sort(win, axis=-1)
+    n = s.shape[-1] - np.count_nonzero(np.isnan(s), axis=-1)
+    return [np.take_along_axis(
+        s, np.asarray(np.ceil(q * n), dtype=int)[..., None] - 1, axis=-1
+    )[..., 0] for q in qs]
+
+
+def _window_iqr(win: np.ndarray) -> np.ndarray:
+    """Interquartile range of each window of a stack (or of one window)."""
+    q1, q3 = _quantiles(win, 0.25, 0.75)
+    return q3 - q1
 
 
 def window_iqr_grid(img: Image, radius_px: int) -> np.ndarray:
     """Interquartile range of every pixel's clipped window."""
-    H, W = img.height, img.width
-    w = radius_px
-    iqrs = np.empty((H, W))
-    k_full = (2 * w + 1) ** 2
-    if H >= 2 * w + 1 and W >= 2 * w + 1:
-        view = np.lib.stride_tricks.sliding_window_view(
-            img.pixels, (2 * w + 1, 2 * w + 1))
-        flat = view.reshape(H - 2 * w, W - 2 * w, k_full)
-        s = np.sort(flat, axis=-1)
-        q1, q3 = _quartile_ranks(k_full)
-        iqrs[w:H - w, w:W - w] = s[..., q3] - s[..., q1]
-        border_rows = [i for i in range(H) if i < w or i >= H - w]
-    else:
-        border_rows = list(range(H))
-    for i in border_rows:
-        for j in range(W):
-            _set_border_iqr(img, i, j, w, iqrs)
-    if H >= 2 * w + 1 and W >= 2 * w + 1:
-        for i in range(w, H - w):
-            for j in list(range(w)) + list(range(W - w, W)):
-                _set_border_iqr(img, i, j, w, iqrs)
-    return iqrs
-
-
-def _set_border_iqr(img: Image, i: int, j: int, w: int, iqrs: np.ndarray):
-    H, W = img.height, img.width
-    block = img.pixels[max(0, i - w):min(H, i + w + 1),
-                       max(0, j - w):min(W, j + w + 1)]
-    s = np.sort(block.ravel())
-    q1, q3 = _quartile_ranks(s.size)
-    iqrs[i, j] = s[q3] - s[q1]
+    iqrs = np.empty(img.pixels.size)
+    for p0, win in _bands(img, radius_px, "clip"):
+        iqrs[p0:p0 + len(win)] = _window_iqr(win)
+    return iqrs.reshape(img.pixels.shape)
 
 
 def auto_scale(img: Image, radius_px: int = 2) -> float:
     """Automatic intensity bandwidth: median of the window IQRs."""
     if radius_px < 1:
         raise ValueError("radius_px must be >= 1")
-    iqrs = np.sort(window_iqr_grid(img, radius_px).ravel())
-    g = _lower_median(iqrs)
+    g = float(_quantiles(window_iqr_grid(img, radius_px).ravel(), 0.5)[0])
     if g < DEGENERATE_SCALE_FLOOR:
         raise DegenerateScaleError(
             f"automatic bandwidth {g!r} is below {DEGENERATE_SCALE_FLOOR}; "
@@ -149,20 +161,44 @@ def auto_scale(img: Image, radius_px: int = 2) -> float:
     return g
 
 
-def _mode_pixel(values: np.ndarray, kappa: np.ndarray, start: float,
-                bandwidth: float, trim_fraction: float, tol: float,
-                max_iter: int) -> tuple[float, int, bool, bool]:
-    """One pixel estimate: (mode, r, median_fallback, converged)."""
-    if trim_fraction > 0.0:
-        _, mask, _, r = trim_values(values, trim_fraction)
-    else:
-        mask, r = None, 0
-    try:
-        fld = DensityField(values, kappa, bandwidth, mask)
-    except DegenerateFieldError:
-        return _lower_median(np.sort(values)), r, True, True
-    res = nearest_mode(fld, start, tol, max_iter)
-    return res.mode, r, False, res.converged
+def _lattice_kappa(w: int) -> np.ndarray:
+    """Product-kernel weights of the (2w+1)^2 window offsets, row-major."""
+    lat = np.arange(-w, w + 1) / w
+    return k2(np.repeat(lat, 2 * w + 1), np.tile(lat, 2 * w + 1))
+
+
+def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
+              params: SmootherParams):
+    """Estimates for a (P, k) window stack; NaN entries lie off the image.
+
+    Returns (modes, trimmed entries, median fallbacks, non-converged).
+    Windows are trimmed in groups of equal entry count n; the density of
+    every row is then built over the positive-weight lattice slots, with
+    weight 0 where the slot is off the image or trimmed.
+    """
+    valid = ~np.isnan(win)
+    keep = valid.copy()
+    trimmed = 0
+    if params.trim_fraction > 0.0:
+        n = np.count_nonzero(valid, axis=1)
+        for m in np.unique(n):
+            rows = np.flatnonzero(n == m)
+            sub = valid[rows]
+            _, mask, _, r = lts_trim.trim_values(
+                win[rows][sub].reshape(-1, m), params.trim_fraction)
+            sub[sub] = mask.ravel()
+            keep[rows] = sub
+            trimmed += r * rows.size
+    inner = kappa > 0.0
+    ks = np.where(keep[:, inner], kappa[inner], 0.0)
+    ys = np.where(keep[:, inner], win[:, inner], 0.0)
+    fb = ~np.any(ks > 0.0, axis=1)
+    modes = np.empty(len(win))
+    modes[fb] = _quantiles(win[fb], 0.5)[0]
+    modes[~fb], _, _, conv = mode_density._nearest_modes(
+        ys[~fb], ks[~fb], g, win[~fb, win.shape[1] // 2], params.tol,
+        params.max_iter)
+    return modes, trimmed, int(fb.sum()), int(conv.size - conv.sum())
 
 
 def smooth(img: Image, params: SmootherParams = SmootherParams()
@@ -179,65 +215,44 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
     h_row, h_col = w / H, w / W
     # the spatial kernel K_h(x) = K(x/h) / h^2 and the 1/n^2 average both
     # stay in the weights so field values match the estimator definition
-    knorm = 1.0 / (h_row * h_col * H * W)
-    full = (2 * w + 1) ** 2
-    kappa_full: np.ndarray | None = None
-    out = np.empty((H, W))
-    trimmed_total = 0
-    interior_r = 0
-    fallbacks = 0
-    nonconv = 0
-    for i0 in range(H):
-        for j0 in range(W):
-            win = window_at(img, i0, j0, w, params.border)
-            if len(win) == full:
-                if kappa_full is None:
-                    kappa_full = k2(win.offsets[:, 0], win.offsets[:, 1]) * knorm
-                kappa = kappa_full
-            else:
-                kappa = k2(win.offsets[:, 0], win.offsets[:, 1]) * knorm
-            start = float(img.pixels[i0, j0])
-            mode, r, fb, conv = _mode_pixel(
-                win.values, kappa, start, g, params.trim_fraction,
-                params.tol, params.max_iter)
-            out[i0, j0] = mode
-            trimmed_total += r
-            if len(win) == full:
-                interior_r = r
-            fallbacks += fb
-            nonconv += not conv
+    kappa = _lattice_kappa(w) * (1.0 / (h_row * h_col * H * W))
+    out = np.empty(H * W)
+    totals = np.zeros(3, dtype=int)
+    for p0, win in _bands(img, w, params.border):
+        out[p0:p0 + len(win)], *counts = _estimate(win, kappa, g, params)
+        totals += counts
+    has_full = params.border == "replicate" or min(H, W) > 2 * w
     report = SmoothReport(
         width=W, height=H, radius_px=w, bandwidth=g, bandwidth_mode=g_mode,
         trim_fraction=params.trim_fraction, border=params.border,
         tol=params.tol, max_iter=params.max_iter,
-        interior_trim_count=interior_r, trimmed_total=trimmed_total,
-        median_fallback_pixels=fallbacks, nonconverged_pixels=nonconv,
+        interior_trim_count=(trim_count((2 * w + 1) ** 2,
+                                        params.trim_fraction)
+                             if has_full else 0),
+        trimmed_total=int(totals[0]), median_fallback_pixels=int(totals[1]),
+        nonconverged_pixels=int(totals[2]),
         wall_time_s=time.perf_counter() - t0)
-    return Image(out), report
+    return Image(out.reshape(H, W)), report
 
 
-def window_mode_estimate(values, params: SmootherParams,
-                         bandwidth: float) -> float:
-    """Estimate for a single full window given row-major entry values.
+def window_mode_estimate(values, params: SmootherParams, bandwidth: float):
+    """Estimates for full windows given row-major entry values.
 
-    The window is treated as interior: spatial weights follow the product
-    kernel on the (2w+1)^2 offset lattice.  The starting point is the
-    centre entry.
+    `values` is one window of (2w+1)^2 entries, or a stack of them along
+    the leading axes, which gives an array of estimates.  Windows are
+    treated as interior: spatial weights follow the product kernel on the
+    (2w+1)^2 offset lattice.  The starting point is the centre entry.
     """
-    vals = np.asarray(values, dtype=float).ravel()
+    vals = np.asarray(values, dtype=float)
     w = params.radius_px
     k = (2 * w + 1) ** 2
-    if vals.size != k:
-        raise ValueError(f"expected {k} values for radius {w}, got {vals.size}")
-    lat = np.arange(-w, w + 1) / w
-    u1 = np.repeat(lat, 2 * w + 1)
-    u2 = np.tile(lat, 2 * w + 1)
-    kappa = k2(u1, u2) / (w * w)
-    start = float(vals[k // 2])
-    mode, _, _, _ = _mode_pixel(vals, kappa, start, bandwidth,
-                                   params.trim_fraction, params.tol,
-                                   params.max_iter)
-    return mode
+    if vals.shape[-1:] != (k,):
+        raise ValueError(f"expected {k} values for radius {w}, got "
+                         f"shape {vals.shape}")
+    modes = _estimate(vals.reshape(-1, k), _lattice_kappa(w) / (w * w),
+                      bandwidth, params)[0]
+    return float(modes[0]) if vals.ndim == 1 else modes.reshape(
+        vals.shape[:-1])
 
 
 def median_smooth(img: Image, radius_px: int = 2,
@@ -245,10 +260,7 @@ def median_smooth(img: Image, radius_px: int = 2,
     """Window median baseline (lower middle value for even counts)."""
     if radius_px < 1:
         raise ValueError("radius_px must be >= 1")
-    H, W = img.height, img.width
-    out = np.empty((H, W))
-    for i0 in range(H):
-        for j0 in range(W):
-            win = window_at(img, i0, j0, radius_px, border)
-            out[i0, j0] = _lower_median(np.sort(win.values))
-    return Image(out)
+    out = np.empty(img.pixels.size)
+    for p0, win in _bands(img, radius_px, border):
+        out[p0:p0 + len(win)] = _quantiles(win, 0.5)[0]
+    return Image(out.reshape(img.pixels.shape))

@@ -131,6 +131,49 @@ def ref_lattice_weights(radius_px):
     return k / (w * w)
 
 
+def ref_smooth(px, radius_px, g, trim_fraction, border="clip"):
+    """Whole-image smoother, one pixel at a time, from the definitions.
+
+    Windows come from slicing (replicate: indices clipped to the image),
+    weights from the truncated product kernel at the offsets (centre -
+    entry) / w scaled by 1 / (h_row h_col H W), the trim keeps the n - r
+    smallest squared residuals against ref_lts_center with threshold ties
+    kept in window order, and the mode is ref_nearest_mode from the
+    centre value; no kept entry with positive weight gives the lower
+    median of the window.
+    """
+    px = np.asarray(px, dtype=float)
+    H, W = px.shape
+    w = radius_px
+    knorm = 1.0 / ((w / H) * (w / W) * H * W)
+    phi = lambda u: np.where(np.abs(u) < 1.0,
+                             np.exp(-0.5 * u * u) * GAUSS_NORM, 0.0)
+    out = np.empty((H, W))
+    for i in range(H):
+        for j in range(W):
+            rows = np.arange(i - w, i + w + 1)
+            cols = np.arange(j - w, j + w + 1)
+            if border == "clip":
+                rows = rows[(rows >= 0) & (rows < H)]
+                cols = cols[(cols >= 0) & (cols < W)]
+            rr, cc = np.meshgrid(rows, cols, indexing="ij")
+            vals = px[np.clip(rr, 0, H - 1), np.clip(cc, 0, W - 1)].ravel()
+            wts = (phi((i - rr.ravel()) / w) * phi((j - cc.ravel()) / w)
+                   * knorm)
+            n = vals.size
+            r = math.floor(n * trim_fraction)
+            center = ref_lts_center(vals, r)
+            resid = (vals - center) ** 2
+            kept = sorted(range(n), key=lambda e: (resid[e], e))[:n - r]
+            kept = [e for e in kept if wts[e] > 0.0]
+            if not kept:
+                out[i, j] = np.sort(vals)[(n + 1) // 2 - 1]
+            else:
+                out[i, j] = ref_nearest_mode(vals[kept], wts[kept], g,
+                                             px[i, j])
+    return out
+
+
 def random_positive_field(rng, n_max=25, g_range=(5.0, 60.0)):
     """Random density field with strictly positive weights.
 

@@ -187,6 +187,35 @@ def test_noise_stream_layout_frozen():
     assert out.pixels[2, 3] == expect
 
 
+def test_reused_generator_matches_fresh_generator_per_key():
+    # white and black outliers and truncation rejections all occur, so the
+    # pixels draw different numbers of values; each one must still see
+    # exactly the stream of a fresh Philox keyed by [seed, (i << 32) | j]
+    spec = NoiseSpec(sigma=10.0, truncate=5.0, p_white=0.1, p_black=0.1,
+                     seed=77)
+    out = add_noise(Image(np.full((12, 13), 100.0)), spec)
+    kinds, rejected = set(), 0
+    for i in range(12):
+        for j in range(13):
+            gen = Generator(Philox(key=np.array([77, (i << 32) | j],
+                                                dtype=np.uint64)))
+            u = gen.random()
+            if u < 0.1:
+                expect, kind = 255.0, "white"
+            elif u < 0.2:
+                expect, kind = 0.0, "black"
+            else:
+                eps = gen.standard_normal() * 10.0
+                while not -5.0 < eps < 5.0:
+                    eps = gen.standard_normal() * 10.0
+                    rejected += 1
+                expect, kind = 100.0 + eps, "gauss"
+            assert out.pixels[i, j] == expect
+            kinds.add(kind)
+    assert kinds == {"white", "black", "gauss"}
+    assert rejected > 20
+
+
 def test_all_white_replacement():
     img = Image(np.zeros((5, 5)))
     out = add_noise(img, NoiseSpec(p_white=1.0, seed=3))

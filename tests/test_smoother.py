@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from tmsmooth import smoother
 from tmsmooth.grid_image import Image
 from tmsmooth.smoother import (DegenerateScaleError, SmootherParams,
                                auto_scale, median_smooth, smooth,
                                window_iqr_grid, window_mode_estimate)
 from tmsmooth.lts_trim import trim_values
-from tmsmooth.mode_density import DEFAULT_TOL
+from tmsmooth.mode_density import DEFAULT_TOL, DensityField, nearest_mode
 
-from conftest import ref_field, ref_lattice_weights, ref_lts_center
+from conftest import (ref_field, ref_lattice_weights, ref_lts_center,
+                      ref_smooth)
 
 # 25 window values, row-major; centre entry (index 12) is 66
 WINDOW25 = [12, 40, 208, 63, 89, 27, 250, 71, 44, 96, 58, 80, 66,
@@ -202,6 +204,81 @@ def test_median_fallback_when_kept_entries_carry_no_weight():
                                                 trim_fraction=0.45))
     assert rep.median_fallback_pixels >= 1
     assert out.pixels[2, 2] == 62.0  # lower median of the 25 window values
+
+
+# -- batched passes -----------------------------------------------------------
+
+
+def noisy_integer_image(rng, shape):
+    px = rng.integers(40, 200, size=shape).astype(float)
+    px[rng.random(shape) < 0.06] = 255.0
+    px[rng.random(shape) < 0.03] = 0.0
+    return px
+
+
+@pytest.mark.parametrize("border", ["clip", "replicate"])
+@pytest.mark.parametrize("trim", [0.0, 0.15])
+def test_output_independent_of_band_size(monkeypatch, border, trim):
+    # one image row per band, seven rows, and the whole 23x17 image in one
+    # band must give bit-identical output and reports (auto bandwidth, so
+    # the banded window IQRs are covered too)
+    img = Image(noisy_integer_image(np.random.default_rng(5), (23, 17)))
+    params = SmootherParams(radius_px=2, trim_fraction=trim, border=border)
+    runs = []
+    for rows in (1, 7, 23):
+        monkeypatch.setattr(smoother, "BAND_ENTRIES", rows * 17 * 25)
+        out, rep = smooth(img, params)
+        runs.append((out.pixels, {**rep.to_dict(), "wall_time_s": 0.0},
+                     median_smooth(img, 2, border).pixels))
+    for out, rep, med in runs[1:]:
+        assert np.array_equal(out, runs[0][0])
+        assert rep == runs[0][1]
+        assert np.array_equal(med, runs[0][2])
+
+
+@pytest.mark.parametrize("border", ["clip", "replicate"])
+def test_smooth_matches_pixelwise_reference(rng, border):
+    px = noisy_integer_image(rng, (9, 8))
+    for trim in (0.0, 0.15):
+        out, _ = smooth(Image(px), SmootherParams(
+            radius_px=2, bandwidth=30.0, trim_fraction=trim, border=border))
+        ref = ref_smooth(px, 2, 30.0, trim, border)
+        assert np.max(np.abs(out.pixels - ref)) <= 1e-9 * 30.0
+
+
+def test_window_estimate_stack_matches_single_calls(rng):
+    windows = [rng.integers(0, 256, size=(30, 25)).astype(float)]
+    # replacements at 1e9, some of them at the centre
+    huge = rng.integers(0, 256, size=(20, 25)).astype(float)
+    for row in huge:
+        row[rng.choice(25, size=int(rng.integers(1, 4)), replace=False)] = \
+            rng.choice([-1e9, 1e9])
+    huge[::4, 12] = 1e9
+    windows.append(huge)
+    # outlier centres: trimmed away, so the search starts where F = 0
+    outlier = 100.0 + rng.integers(-8, 9, size=(10, 25)).astype(float)
+    outlier[:, 12] = 250.0
+    windows.append(outlier)
+    # kept entries on the zero-weight outer ring only (at trim 0.45)
+    ring = np.full((5, 5), 1e6)
+    edge = [(i, j) for i in range(5) for j in range(5)
+            if i in (0, 4) or j in (0, 4)]
+    for (i, j), v in zip(edge, list(range(50, 63)) + [5000, 5001, 5002]):
+        ring[i, j] = v
+    windows.append(ring.reshape(1, 25))
+    stack = np.concatenate(windows)
+    for trim in (0.0, 0.15, 0.45):
+        params = SmootherParams(radius_px=2, trim_fraction=trim)
+        got = window_mode_estimate(stack, params, 20.0)
+        one = [window_mode_estimate(row, params, 20.0) for row in stack]
+        assert np.array_equal(got, one)
+        assert np.array_equal(window_mode_estimate(
+            stack[:60].reshape(3, 20, 25), params, 20.0),
+            got[:60].reshape(3, 20))
+    assert one[-1] == 62.0  # the median fallback at trim 0.45
+    _, keep, _, _ = trim_values(outlier[0], 0.15)
+    f = DensityField(outlier[0], ref_lattice_weights(2), 20.0, keep)
+    assert nearest_mode(f, 250.0).direction == "both"
 
 
 # -- median baseline ----------------------------------------------------------
