@@ -225,19 +225,15 @@ def max_bias_probe(values, r: int,
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < window size")
     g = _probe_bandwidth(vals, params)
-    clean_est = window_mode_estimate(vals, params, g)
-    r_trim = trim_count(n, params.trim_fraction)
-    check_bound = params.trim_fraction > 0.0 and 0 < r <= r_trim
-    if check_bound:
-        lo, hi = tm_support_bound(float(vals.min()), float(vals.max()),
-                                  n, r_trim, g)
-        bound = max(hi - clean_est, clean_est - lo)
-    else:
-        lo = hi = bound = None
+    # the clean window rides as row 0 of the stacked estimate call below,
+    # unless a strategy places its values relative to the clean estimate
+    relative = bool({"mode_plus", "mode_minus"} & set(strategies))
+    clean_est = window_mode_estimate(vals, params, g) if relative else None
 
     order = _positions_by_centrality(side)
     noncenter = order[1:]
-    cases: list[tuple[list[int], np.ndarray]] = []
+    cases: list[tuple[list[int], np.ndarray]] = (
+        [] if relative else [([], np.empty(0))])
     for name in strategies:
         pool = order if name == "center" else noncenter
         for k in range(1, min(r, len(pool)) + 1):
@@ -258,9 +254,18 @@ def max_bias_probe(values, r: int,
         contaminated[row, positions] = repl
         replaced[row, positions] = True
     est = window_mode_estimate(contaminated, params, g)
+    if not relative:
+        clean_est = float(est[0])
+        contaminated, replaced, est = contaminated[1:], replaced[1:], est[1:]
     worst = float(np.abs(est - clean_est).max(initial=0.0))
+    r_trim = trim_count(n, params.trim_fraction)
+    check_bound = params.trim_fraction > 0.0 and 0 < r <= r_trim
+    bound = None
     bound_violations = 0
     if check_bound:
+        lo, hi = tm_support_bound(float(vals.min()), float(vals.max()),
+                                  n, r_trim, g)
+        bound = max(hi - clean_est, clean_est - lo)
         # support interval of each instance from the values NOT replaced
         ilo, ihi = tm_support_bound(
             np.where(replaced, np.inf, contaminated).min(axis=1),

@@ -17,9 +17,10 @@ The mode in direction d is the first zero of d*F': the unique root of F'
 on the first segment whose far-end value of d*F', taken with that
 segment's kernels, is <= 0.  Such a segment always exists before the end
 of the support component, because d*F' < 0 just inside that end.  The
-search evaluates d*F' at the cut points ahead in order, then solves the
-one bracketed root by Newton, bisecting whenever a Newton step leaves the
-bracket.  There is no other fallback.
+search evaluates d*F' at the cut points ahead in order, skipping those a
+curvature bound clears (below), then solves the one bracketed root by
+Newton, bisecting whenever a Newton step leaves the bracket.  There is no
+other fallback.
 
 Search policy, given F = field value and F' its derivative at the start:
 
@@ -36,12 +37,29 @@ The root solver stops once |F'| <= tol and returns one more Newton step
 from there; `max_iter` caps its number of steps, and a search that hits
 the cap is reported as not converged.
 
+The skip bound: (v^2 - 1) phi(v) >= -phi(0) for every v, so F'' >= -K on
+every segment, with K = phi(0) sum_i kappa_i / g^3.  Since d*F' also
+never jumps downward, a checked point x with d*F' = p just before it has
+d*F' >= p - K (y - x) at every y beyond x, and no zero lies below
+x + p / K.  The next cut checked is the first at or beyond
+x + (p - tol) / K.  tol is the margin for rounding: the rounding of p and
+of the bound is of order eps K (|x| + n g) for n kernels, so every cut
+skipped is one where the computed d*F' is positive, and the walk stops at
+the same cut as one that checks every cut.  The first skip starts from
+|F'(start)|, which the search policy computes anyway.  That value sums
+the kernels with |v| < 1 at the start; where those are not the kernels
+the cut points make active just beyond it (a start within rounding of a
+cut), or for an outlier start, nothing is skipped from the start.
+
 The search runs on a stack of fields at once, in lock step: each pass of
-the walk checks the next WALK_CUTS cut points of every row still walking,
-each pass of the root solver takes one step on every row still solving,
-and a row leaves the batch when it is done.  A downward search runs as an
-upward one on the mirrored field (y -> -y), which negates every
-intermediate exactly.  nearest_mode is the batch of one.
+the walk checks consecutive cut points of every row still walking, from
+its first cut not cleared, each pass of the root solver takes one step on
+every row still solving, and a row leaves the batch when it is done.  A
+pass checks max(WALK_CUTS, WALK_CUTS * batch // rows left) cuts per row,
+so the work per pass stays about WALK_CUTS * batch row-cut evaluations
+and the last rows of a batch finish in a few passes.  A downward search
+runs as an upward one on the mirrored field (y -> -y), which negates
+every intermediate exactly.  nearest_mode is the batch of one.
 """
 
 from __future__ import annotations
@@ -54,8 +72,8 @@ from .kernels import _GAUSS_COEF, l0, l1, l2
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
-# cut points the search checks per lock-step pass
-WALK_CUTS = 4
+# fewest cut points the walk checks per row and lock-step pass
+WALK_CUTS = 2
 
 
 class DegenerateFieldError(ValueError):
@@ -173,59 +191,83 @@ class ModeResult:
     used_scan: bool = False  # always False: the search has no scan fallback
 
 
-def _seg_derivs(y, ys, kc, seg, g):
+def _seg_derivs(y, ys, kc, seg, g, second=True):
     """(F', F'') at y, summing the kernels of `seg` untruncated; the kernel
-    axis is the last one of ys, kc and seg and is summed out."""
-    v = (y[..., None] - ys) / g
-    t = np.where(seg, kc * np.exp(-0.5 * v * v), 0.0)
-    fpp = ((v * v - 1.0) * t).sum(axis=-1) / (g * g)
-    return -(v * t).sum(axis=-1) / g, fpp
+    axis is the last one of ys, kc and seg and is summed out.  The mask is
+    multiplied into the terms, and second=False skips F'' (None)."""
+    v = y[..., None] - ys
+    v /= g
+    t = np.multiply(v, -0.5)
+    t *= v
+    np.exp(t, out=t)
+    t *= seg
+    t *= kc
+    fpp = ((v * v - 1.0) * t).sum(axis=-1) / (g * g) if second else None
+    v *= t
+    return -v.sum(axis=-1) / g, fpp
 
 
-def _climb(ys, kc, g, y0, tol, max_iter):
+def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     """First zero of F' above y0[p] per row, where F' > 0 just above y0[p].
 
     Rows are independent fields; kc == 0 marks a slot without a kernel.
-    Every row runs the same steps in lock step, and a row leaves the batch
-    when it is done.  Returns (mode, root-solver steps, converged).
+    slope0[p] is |F'(y0[p])| as the search policy computed it (0 if none
+    is known); the walk skips the cut points the bound from there clears
+    (see module docstring).  Every row runs the same steps in lock step,
+    and a row leaves the batch when it is done.  Returns (mode, root-solver
+    steps, converged).
     """
+    if not y0.size:
+        return y0.copy(), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
     live = kc > 0.0
     enter = np.where(live, ys - g, np.nan)
     leave = np.where(live, ys + g, np.nan)
     cuts = np.sort(np.concatenate([enter, leave], axis=1), axis=1)
-    nxt = np.count_nonzero(cuts <= y0[:, None], axis=1)
-    near, far, fp, fpp = y0.copy(), np.empty_like(y0), np.empty_like(y0), \
-        np.empty_like(y0)
-    seg = np.empty(ys.shape, dtype=bool)
+    last = cuts.shape[1] - 1
+    first = np.count_nonzero(cuts <= y0[:, None], axis=1)
+    # no zero lies below reach (the skip bound of the module docstring);
+    # slope0 sums the kernels with |v| < 1 at y0 and bounds F' just above
+    # y0 only where those are the kernels the cuts make active there
+    curv = kc.sum(axis=1) / (g * g)
+    y0c = y0[:, None]
+    same = (np.abs((y0c - ys) / g) < 1.0) == ((enter <= y0c) & (y0c < leave))
+    reach = y0 + (np.where((same | ~live).all(axis=1), slope0, 0.0) - tol
+                  ) / curv
+    nxt = first.copy()
+    hit = np.empty_like(first)
     rows = np.arange(y0.size)
-    ahead = np.arange(WALK_CUTS)
     while rows.size:
-        # the next WALK_CUTS cuts of each row at once; the segment that ends
-        # at cut x holds the kernels entered and not yet left just below x.
-        # The last cut of a support component ends it with F' < 0 there,
-        # so every row stops (indices past the last cut repeat it)
-        idx = np.minimum(nxt[rows, None] + ahead, cuts.shape[1] - 1)
-        x = np.take_along_axis(cuts[rows], idx, axis=1)
-        ent, lv = enter[rows, None], leave[rows, None]
-        m = (ent < x[..., None]) & (x[..., None] <= lv)
-        p, pp = _seg_derivs(x, ys[rows, None], kc[rows, None], m, g)
-        hit = p <= 0.0
-        stop = hit.any(axis=1)
-        k = hit.argmax(axis=1)[stop]
-        done, s = rows[stop], np.flatnonzero(stop)
-        far[done], fp[done], fpp[done] = x[s, k], p[s, k], pp[s, k]
-        seg[done] = m[s, k]
-        near[done[k > 0]] = x[s[k > 0], k[k > 0] - 1]
-        rows = rows[~stop]
-        near[rows] = x[~stop, -1]
-        nxt[rows] += WALK_CUTS
-    # the root of F' on `seg` lies in [near, far]: Newton, bisecting when a
-    # step leaves the bracket, plus one final Newton step that costs no
-    # evaluation (|F'| <= tol leaves y up to tol / |F''| from the root)
+        # each pass checks `span` consecutive cuts of every row still
+        # walking, from the first one not cleared.  The segment that ends at
+        # cut x holds the kernels entered and not yet left just below x.
+        # The last cut of a support component ends it with F' < 0 there, so
+        # every row stops (indices past the last cut repeat it)
+        span = min(last + 1, max(WALK_CUTS, WALK_CUTS * y0.size // rows.size))
+        c = cuts[rows]
+        j = np.maximum(nxt[rows],
+                       np.count_nonzero(c < reach[rows, None], axis=1))
+        idx = np.minimum(j[:, None] + np.arange(span), last)
+        x = np.take_along_axis(c, idx, axis=1)
+        m = (enter[rows, None] < x[..., None]) & (x[..., None] <= leave[
+            rows, None])
+        p = _seg_derivs(x, ys[rows, None], kc[rows, None], m, g, False)[0]
+        down = p <= 0.0
+        stop = down.any(axis=1)
+        hit[rows[stop]] = idx[stop, down[stop].argmax(axis=1)]
+        rows, j, x, p = rows[~stop], j[~stop], x[~stop, -1], p[~stop, -1]
+        nxt[rows], reach[rows] = j + span, x + (p - tol) / curv[rows]
+    # the root of F' on the hit cut's segment lies in [near, far]: Newton,
+    # bisecting when a step leaves the bracket, plus one final Newton step
+    # that costs no evaluation (|F'| <= tol leaves y up to tol / |F''| from
+    # the root)
+    rows = np.arange(y0.size)
+    far = cuts[rows, hit]
+    near = np.where(hit == first, y0, cuts[rows, hit - 1])
+    seg = (enter < far[:, None]) & (far[:, None] <= leave)
+    fp, fpp = _seg_derivs(far, ys, kc, seg, g)
     y = far.copy()
     iters = np.full(y0.size, max_iter)
     conv = np.zeros(y0.size, dtype=bool)
-    rows = np.arange(y0.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             if not rows.size:
@@ -277,10 +319,13 @@ def _nearest_modes(ys, ks, g, start, tol, max_iter):
     src = np.concatenate([climb, both, both])
     sgn = np.concatenate([d[climb], np.repeat([1, -1], both.size)])
     y0 = np.concatenate([start[climb], up, down])
+    # the walk of a climbing start skips from |F'(start)|; an outlier start
+    # has no slope to skip from
+    slope0 = np.concatenate([np.abs(fp[climb]), np.zeros(2 * both.size)])
     go = np.isfinite(y0)
-    src, sgn, y0 = src[go], sgn[go], y0[go]
-    m, it, ok = _climb(sgn[:, None] * ys[src], kc[src], g, sgn * y0, tol,
-                       max_iter)
+    src, sgn, y0, slope0 = src[go], sgn[go], y0[go], slope0[go]
+    m, it, ok = _climb(sgn[:, None] * ys[src], kc[src], g, sgn * y0, slope0,
+                       tol, max_iter)
     # slot 0 holds the upward results and the stays, slot 1 the downward
     # ones; only an outlier start fills both, and then the candidate closer
     # to the start wins, a tie picking the smaller (downward) intensity

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from tmsmooth.mode_density import (DEFAULT_TOL, DegenerateFieldError,
-                                   DensityField, nearest_mode)
+from tmsmooth.mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,
+                                   DegenerateFieldError, DensityField,
+                                   _nearest_modes, nearest_mode)
 
-from conftest import (random_positive_field, ref_field, ref_lattice_weights,
-                      ref_nearest_mode)
+from conftest import (GAUSS_NORM, random_positive_field, ref_field,
+                      ref_lattice_weights, ref_nearest_mode)
 
 
 def make_field(vals, wts, g, retained=None):
@@ -41,8 +42,9 @@ def test_support_hull():
 
 
 def test_concave_between_cuts_and_derivative_jumps_up(rng):
-    # the two facts the search rests on: F'' < 0 wherever F > 0, and at a
-    # cut point F' only rises, so d*F' jumps upward in either direction d
+    # the facts the search rests on: F'' < 0 wherever F > 0, at a cut point
+    # F' only rises, so d*F' jumps upward in either direction d, and F'' is
+    # never below -sum(kappa_i c / g) / g^2, the floor the walk's skip uses
     for _ in range(200):
         vals, wts, g = random_positive_field(rng)
         F, F1, F2 = ref_field(vals, wts, g)
@@ -54,6 +56,8 @@ def test_concave_between_cuts_and_derivative_jumps_up(rng):
         inside = F(ys) > 0.0
         assert np.all(F2(ys)[inside] < 0.0)
         assert np.all(F1(cuts + eps) - F1(cuts - eps) > -1e-10)
+        floor = -(wts * GAUSS_NORM / g).sum() / (g * g)
+        assert np.all(F2(ys)[inside] >= floor)
 
 
 def test_matches_reference_on_random_fields(rng):
@@ -243,6 +247,100 @@ def test_first_zero_matches_grid_reference_on_random_fields(rng):
         cuts = np.concatenate([vals - g, vals + g])
         crossed += bool(np.any((cuts > a) & (cuts < b)))
     assert crossed > 100
+
+
+def _check_stack(rows, g, tol):
+    """Run the (values, weights, start) rows as one _nearest_modes stack
+    and compare every mode with the reference; returns (direction,
+    converged) per row."""
+    n = max(v.size for v, _, _ in rows)
+    ys = np.zeros((len(rows), n))
+    ks = np.zeros((len(rows), n))
+    for i, (vals, wts, _) in enumerate(rows):
+        ys[i, :vals.size], ks[i, :vals.size] = vals, wts
+    start = np.array([s for _, _, s in rows])
+    modes, _, d, conv = _nearest_modes(ys, ks, g, start, tol,
+                                       DEFAULT_MAX_ITER)
+    for (vals, wts, s), m in zip(rows, modes):
+        assert m == pytest.approx(ref_nearest_mode(vals, wts, g, s, tol),
+                                  abs=1e-4 * g)
+    return d, conv
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+def test_walk_skips_no_zero_on_adversarial_stack(rng, tol):
+    # rows of one stack finish on different passes of the lock-step walk;
+    # tol is also the margin of the walk's skip bound.  g and the values
+    # are exact in binary, so coincident and shared cuts are exact.
+    # Weights of order 1e4 keep |F'| well above tol = 1e-3 off the modes
+    g = 16.0
+    fields = []
+    for _ in range(12):
+        # duplicate values: 25 integers from 21 levels, so cuts coincide
+        vals = rng.integers(110, 131, size=25).astype(float)
+        fields.append((vals, rng.uniform(5e2, 1e4, size=25)))
+    for _ in range(12):
+        # pairs exactly 2g apart: one kernel's exit is the other's entry
+        a = rng.integers(60, 160, size=6).astype(float)
+        vals = np.concatenate([a, a + 2 * g, rng.uniform(60.0, 200.0, 6)])
+        fields.append((vals, rng.uniform(5e2, 1e4, size=vals.size)))
+    for _ in range(6):
+        # a heavy cluster puts F'' near its floor at the mode, where light
+        # kernels enter: the skip bound is nearly tight just before cuts
+        c = float(rng.integers(100, 150))
+        light = c + g + 0.25 * np.arange(1, 7)
+        vals = np.concatenate([np.full(8, c), light])
+        fields.append((vals, np.concatenate([np.full(8, 1e4),
+                                             np.full(6, 1e2)])))
+    lattice = ref_lattice_weights(8)
+    for _ in range(4):
+        # 225-slot radius-8 windows: a noisy ramp plus a few outliers
+        vals = np.linspace(90.0, 170.0, lattice.size) + rng.normal(
+            0.0, 10.0, lattice.size)
+        vals[rng.choice(lattice.size, 5, replace=False)] = rng.uniform(
+            0.0, 255.0, 5)
+        fields.append((vals[lattice > 0], 1e4 * lattice[lattice > 0]))
+    rows, near_tol = [], 0
+    for vals, wts in fields:
+        cuts = np.concatenate([vals - g, vals + g])
+        # starts on a cut and one ulp to either side of it, at an entry,
+        # and below the lowest value, so that cuts lie ahead
+        for c in rng.choice(cuts, 3, replace=False):
+            rows += [(vals, wts, s) for s in (
+                c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf))]
+        rows.append((vals, wts, float(rng.choice(vals))))
+        rows.append((vals, wts, vals.min() - 0.9 * g))
+        # starts whose |F'| lies just above tol: offset from a mode by
+        # 1.5 tol / |F''| on either side
+        _, F1, F2 = ref_field(vals, wts, g)
+        mode = ref_nearest_mode(vals, wts, g, float(np.median(vals)), 1e-12)
+        for side in (-1.0, 1.0):
+            s = mode + side * 1.5 * tol / abs(F2(mode)[0])
+            if tol < abs(F1(s)[0]) < 2 * tol:
+                rows.append((vals, wts, s))
+                near_tol += 1
+    assert near_tol > 40
+    d, conv = _check_stack(rows, g, tol)
+    assert conv.all()
+    assert {-1, 1, 2} <= set(d.tolist())
+
+    # starts within rounding of a cut: a probe window's bandwidth is its
+    # IQR q3 - q1, so with the centre at q1 the kernel of q3 has |v| = 1 at
+    # the start while its rounded cut q3 - g can lie an ulp below it.  A
+    # closer value pulls the search down across that cut; F' just below
+    # the start then holds the kernel of q3 and is negative, so the search
+    # ends at that cut, an ulp from the start, without a root to converge on
+    g = 171.03946521844668
+    rows = []
+    for s in rng.uniform(20.0, 80.0, size=400):
+        q3 = s + g + np.spacing(s + g) * np.arange(-3, 4)
+        q3 = q3[(q3 - s == g) & (q3 - g < s)]
+        if q3.size:
+            vals = np.array([s, q3[0], s - 0.05 * g * rng.uniform(0.5, 1.5)])
+            rows.append((vals, np.full(3, 1e4), s))
+    assert len(rows) >= 20
+    d, _ = _check_stack(rows, g, tol)
+    assert (d == -1).all()
 
 
 def test_unimodal_cluster_finds_global_max(rng):
