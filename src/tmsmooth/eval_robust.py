@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -217,11 +217,7 @@ def max_bias_probe(values, r: int,
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
     side = _window_side(n)
-    if params.radius_px != side // 2:
-        params = SmootherParams(
-            radius_px=side // 2, bandwidth=params.bandwidth,
-            trim_fraction=params.trim_fraction, tol=params.tol,
-            max_iter=params.max_iter, border=params.border)
+    params = replace(params, radius_px=side // 2)
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < window size")
     g = _probe_bandwidth(vals, params)

@@ -5,13 +5,17 @@ at the retained window intensities.  The per-pixel estimate is the local
 mode of that field nearest to a starting intensity (the untrimmed centre
 observation).
 
-The kernel of an entry y_i is cut at the points y_i - g and y_i + g, so F
-is smooth only between consecutive cut points.  On such a segment every
-active term of F'' is kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is
-strictly concave there and F' strictly decreasing.  Moving in a direction
-d (+1 or -1), a kernel enters at v = -d or leaves at v = +d, and either
-event makes d*F' jump upward.  From a point where d*F' > 0, d*F' therefore
-decreases continuously within each segment and only rises across cuts.
+The kernel of an entry y_i is cut at the points y_i - g and y_i + g, taken
+as computed in floating point, and it is active exactly where
+fl(y_i - g) < y < fl(y_i + g).  The field, the search policy and the walk
+all decide membership by this one rule, so F is 0 at both ends of its
+support and positive just inside them.  F is smooth only between
+consecutive cut points.  On such a segment every active term of F'' is
+kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is strictly concave
+there and F' strictly decreasing.  Moving in a direction d (+1 or -1), a
+kernel enters at v = -d or leaves at v = +d, and either event makes d*F'
+jump upward.  From a point where d*F' > 0, d*F' therefore decreases
+continuously within each segment and only rises across cuts.
 
 The mode in direction d is the first zero of d*F': the unique root of F'
 on the first segment whose far-end value of d*F', taken with that
@@ -28,10 +32,10 @@ Search policy, given F = field value and F' its derivative at the start:
   first zero of d*F' beyond the start is returned ("up" or "down").
 * F(start) > 0 and |F'(start)| <= tol: the start is returned unchanged
   ("stay"); it is a local maximum because F'' < 0 wherever F > 0.
-* F(start) = 0 (the centre observation was an outlier far from every
-  retained value): search away from the start from the cut point where
-  the density begins on each side, and keep the mode closer to the start,
-  ties picking the smaller intensity ("both").
+* F(start) = 0, no kernel active (the centre observation was an outlier
+  far from every retained value): search away from the start from the
+  cut point where the density begins on each side, and keep the mode
+  closer to the start, ties picking the smaller intensity ("both").
 
 The root solver stops once |F'| <= tol and returns one more Newton step
 from there; `max_iter` caps its number of steps, and a search that hits
@@ -46,10 +50,10 @@ x + (p - tol) / K.  tol is the margin for rounding: the rounding of p and
 of the bound is of order eps K (|x| + n g) for n kernels, so every cut
 skipped is one where the computed d*F' is positive, and the walk stops at
 the same cut as one that checks every cut.  The first skip starts from
-|F'(start)|, which the search policy computes anyway.  That value sums
-the kernels with |v| < 1 at the start; where those are not the kernels
-the cut points make active just beyond it (a start within rounding of a
-cut), or for an outlier start, nothing is skipped from the start.
+|F'(start)|, which the search policy computes anyway.  The kernels active
+just beyond the start are those active at it plus those entering at it,
+and an entering kernel only raises d*F', so |F'(start)| bounds d*F' there
+from below.  An outlier start skips nothing from the start.
 
 The search runs on a stack of fields at once, in lock step: each pass of
 the walk checks consecutive cut points of every row still walking, from
@@ -68,7 +72,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .kernels import _GAUSS_COEF, l0, l1, l2
+from .kernels import _GAUSS_COEF
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -97,6 +101,8 @@ class DensityField:
     _ys: np.ndarray = dc_field(init=False, repr=False)
     _ks: np.ndarray = dc_field(init=False, repr=False)
     _kc: np.ndarray = dc_field(init=False, repr=False)
+    _enter: np.ndarray = dc_field(init=False, repr=False)
+    _leave: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
@@ -124,59 +130,43 @@ class DensityField:
         order = np.argsort(vals[active], kind="stable")
         self._ys = vals[active][order]
         self._ks = wts[active][order]
-        # shared coefficient for the fast combined evaluation:
-        # kappa * phi(v) / (Z * g) is the per-entry contribution to F.
+        # kappa * phi(v) / (Z * g) is the per-entry contribution to F
         self._kc = self._ks * (_GAUSS_COEF / self.g)
+        self._enter, self._leave = self._ys - self.g, self._ys + self.g
         self.values = vals
         self.weights = wts
         self.retained = mask
 
-    # -- support geometry ------------------------------------------------
-
     @property
     def support(self) -> tuple[float, float]:
-        """Hull of the positive-density region."""
-        return float(self._ys[0] - self.g), float(self._ys[-1] + self.g)
+        """Hull of the positive-density region: the outermost cut points."""
+        return float(self._enter[0]), float(self._leave[-1])
 
-    # -- reference evaluation (vectorised over y) -------------------------
+    def eval_all(self, y):
+        """(F, F', F'') at y, a scalar or an array, sharing one exponential
+        pass over the kernels active at y."""
+        y_arr = np.asarray(y, dtype=float)
+        yc = y_arr[..., None]
+        v = (yc - self._ys) / self.g
+        t = np.where(_active(self._enter, self._leave, yc),
+                     self._kc * np.exp(-0.5 * v * v), 0.0)
+        out = (t.sum(axis=-1), -(v * t).sum(axis=-1) / self.g,
+               ((v * v - 1.0) * t).sum(axis=-1) / (self.g * self.g))
+        return tuple(map(float, out)) if y_arr.ndim == 0 else out
 
     def value(self, y):
         """Field value F(y); accepts scalars or arrays."""
-        y_arr = np.asarray(y, dtype=float)
-        v = (y_arr[..., None] - self._ys) / self.g
-        out = (self._ks * l0(v)).sum(axis=-1) / self.g
-        return float(out) if y_arr.ndim == 0 else out
+        return self.eval_all(y)[0]
 
     def d1(self, y):
         """First derivative F'(y)."""
-        y_arr = np.asarray(y, dtype=float)
-        v = (y_arr[..., None] - self._ys) / self.g
-        out = (self._ks * l1(v)).sum(axis=-1) / self.g ** 2
-        return float(out) if y_arr.ndim == 0 else out
+        return self.eval_all(y)[1]
 
     def d2(self, y):
         """Second derivative F''(y)."""
-        y_arr = np.asarray(y, dtype=float)
-        v = (y_arr[..., None] - self._ys) / self.g
-        out = (self._ks * l2(v)).sum(axis=-1) / self.g ** 3
-        return float(out) if y_arr.ndim == 0 else out
+        return self.eval_all(y)[2]
 
-    # -- fast scalar evaluation ------------------------------------------
-
-    def eval_all(self, y: float) -> tuple[float, float, float]:
-        """(F, F', F'') at a scalar y, sharing one exponential pass."""
-        v = (y - self._ys) / self.g
-        t = np.where(np.abs(v) < 1.0, self._kc * np.exp(-0.5 * v * v), 0.0)
-        f = float(t.sum())
-        fp = float(-(v * t).sum() / self.g)
-        fpp = float(((v * v - 1.0) * t).sum() / (self.g * self.g))
-        return f, fp, fpp
-
-    def eval_value(self, y: float) -> float:
-        return self.eval_all(y)[0]
-
-    def eval_d1(self, y: float) -> float:
-        return self.eval_all(y)[1]
+    eval_value, eval_d1 = value, d1
 
 
 @dataclass(frozen=True)
@@ -189,6 +179,11 @@ class ModeResult:
     converged: bool
     field_value: float
     used_scan: bool = False  # always False: the search has no scan fallback
+
+
+def _active(enter, leave, y):
+    """The membership rule: a kernel is active at y iff enter < y < leave."""
+    return (enter < y) & (y < leave)
 
 
 def _seg_derivs(y, ys, kc, seg, g, second=True):
@@ -211,7 +206,7 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     """First zero of F' above y0[p] per row, where F' > 0 just above y0[p].
 
     Rows are independent fields; kc == 0 marks a slot without a kernel.
-    slope0[p] is |F'(y0[p])| as the search policy computed it (0 if none
+    slope0[p] is |F'(y0[p])| over the kernels active at y0[p] (0 if none
     is known); the walk skips the cut points the bound from there clears
     (see module docstring).  Every row runs the same steps in lock step,
     and a row leaves the batch when it is done.  Returns (mode, root-solver
@@ -219,20 +214,15 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     """
     if not y0.size:
         return y0.copy(), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
-    live = kc > 0.0
-    enter = np.where(live, ys - g, np.nan)
-    leave = np.where(live, ys + g, np.nan)
+    # a slot without a kernel has NaN cuts: sorted last, never active
+    yl = np.where(kc > 0.0, ys, np.nan)
+    enter, leave = yl - g, yl + g
     cuts = np.sort(np.concatenate([enter, leave], axis=1), axis=1)
     last = cuts.shape[1] - 1
     first = np.count_nonzero(cuts <= y0[:, None], axis=1)
-    # no zero lies below reach (the skip bound of the module docstring);
-    # slope0 sums the kernels with |v| < 1 at y0 and bounds F' just above
-    # y0 only where those are the kernels the cuts make active there
+    # no zero lies below reach (the skip bound of the module docstring)
     curv = kc.sum(axis=1) / (g * g)
-    y0c = y0[:, None]
-    same = (np.abs((y0c - ys) / g) < 1.0) == ((enter <= y0c) & (y0c < leave))
-    reach = y0 + (np.where((same | ~live).all(axis=1), slope0, 0.0) - tol
-                  ) / curv
+    reach = y0 + (slope0 - tol) / curv
     nxt = first.copy()
     hit = np.empty_like(first)
     rows = np.arange(y0.size)
@@ -304,18 +294,20 @@ def _nearest_modes(ys, ks, g, start, tol, max_iter):
     2 both.
     """
     kc = ks * (_GAUSS_COEF / g)
-    v = (start[:, None] - ys) / g
-    t = np.where(np.abs(v) < 1.0, kc * np.exp(-0.5 * v * v), 0.0)
-    fp = -(v * t).sum(axis=1) / g
-    d = np.where(t.sum(axis=1) <= 0.0, 2,
-                 np.where(np.abs(fp) <= tol, 0, np.sign(fp))).astype(int)
+    live = kc > 0.0
+    enter, leave = ys - g, ys + g
+    s = start[:, None]
+    on = _active(enter, leave, s) & live
+    fp = _seg_derivs(start, ys, kc, on, g, False)[0]
+    d = np.where(on.any(axis=1),
+                 np.where(np.abs(fp) <= tol, 0, np.sign(fp)), 2).astype(int)
     climb, both = np.flatnonzero(abs(d) == 1), np.flatnonzero(d == 2)
-    # outlier start: search away from it from the cut point where the
-    # density begins on either side
-    live = kc[both] > 0.0
-    above = ys[both] > start[both, None]
-    up = np.where(live & above, ys[both], np.inf).min(axis=1) - g
-    down = np.where(live & ~above, ys[both], -np.inf).max(axis=1) + g
+    # outlier start: no kernel is active there, so each one enters at or
+    # above it or leaves at or below it.  Search away from the start from
+    # the cut point where the density begins on either side
+    enter, leave, s, live = enter[both], leave[both], s[both], live[both]
+    up = np.where(live & (enter >= s), enter, np.inf).min(axis=1)
+    down = np.where(live & (leave <= s), leave, -np.inf).max(axis=1)
     src = np.concatenate([climb, both, both])
     sgn = np.concatenate([d[climb], np.repeat([1, -1], both.size)])
     y0 = np.concatenate([start[climb], up, down])

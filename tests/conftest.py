@@ -17,14 +17,20 @@ GAUSS_NORM = 1.0 / (TRUNC_MASS * math.sqrt(2.0 * math.pi))
 
 
 def ref_field(ys, ks, g):
-    """Reference density: returns (F, F1, F2) callables, vectorised in y."""
+    """Reference density: returns (F, F1, F2) callables, vectorised in y.
+
+    Kernel i counts exactly where ys[i] - g < y < ys[i] + g, with both cut
+    points rounded as computed in floating point.
+    """
     ys = np.asarray(ys, dtype=float)
     ks = np.asarray(ks, dtype=float)
     c = ks * GAUSS_NORM / g
 
     def terms(y):
-        v = (np.atleast_1d(np.asarray(y, float))[:, None] - ys) / g
-        t = np.where(np.abs(v) < 1.0, c * np.exp(-0.5 * v * v), 0.0)
+        y = np.atleast_1d(np.asarray(y, float))[:, None]
+        v = (y - ys) / g
+        t = np.where((ys - g < y) & (y < ys + g),
+                     c * np.exp(-0.5 * v * v), 0.0)
         return v, t
 
     def F(y):
@@ -47,15 +53,18 @@ def ref_first_crossing(ys, ks, g, start, d, n_per_g=2000):
 
     d*F' is sampled on a grid of spacing g / n_per_g from the start and
     just short of every kernel cut point y_i -/+ g ahead, so a sign change
-    between two samples is never hidden by a jump at a cut.  The first
-    sample with d*F' <= 0 and the one before it bracket the zero, which
-    sign bisection then refines.  Nothing here assumes the shape of F.
+    between two samples is never hidden by a jump at a cut; a cut within
+    1e-12 g of the start gives no sample, as its one would lie behind the
+    start.  The first sample with d*F' <= 0 and the one before it bracket
+    the zero, which sign bisection then refines.  Nothing here assumes the
+    shape of F.
     """
     ys = np.asarray(ys, dtype=float)
     _, F1, _ = ref_field(ys, ks, g)
     end = ys.max() + g if d > 0 else ys.min() - g
     cuts = np.concatenate([ys - g, ys + g])
     ahead = cuts[(cuts - start) * d > 0] - d * 1e-12 * g
+    ahead = ahead[(ahead - start) * d > 0]
     h = g / n_per_g
     grid = start + d * h * np.arange(1, int(abs(end - start) / h) + 2)
     samples = np.sort(np.concatenate([grid, ahead]))
