@@ -49,17 +49,23 @@ def lts_center(values, r: int):
     if r == 0:
         center = s.mean(axis=-1)
     else:
-        blocks = np.lib.stride_tricks.sliding_window_view(s, h, axis=-1)
         # order blocks by h * SS = h * sum(x'^2) - (sum x')^2 with an integer
         # shift: every intermediate is exact in float for integer-valued
-        # data, so equal-scatter blocks compare exactly equal and argmin's
-        # first-occurrence rule implements the smaller-start-index tie rule
-        shift = np.round(s[..., (n - 1) // 2])[..., None, None]
-        sb = blocks - shift
-        ssq = h * (sb * sb).sum(axis=-1) - sb.sum(axis=-1) ** 2
-        best = np.argmin(ssq, axis=-1)[..., None, None]
-        center = np.take_along_axis(blocks, best, axis=-2)[..., 0, :].mean(
-            axis=-1)
+        # data, so equal-scatter blocks compare exactly equal, and keeping
+        # the first strict minimum implements the smaller-start-index tie
+        # rule.  One block at a time, so no (r + 1, h) stack is built
+        shift = np.round(s[..., (n - 1) // 2])[..., None]
+        sb = np.empty(s.shape[:-1] + (h,))
+        best_ssq, center = np.inf, 0.0
+        for b in range(r + 1):
+            block = s[..., b:b + h]
+            np.subtract(block, shift, out=sb)
+            ssum = sb.sum(axis=-1)
+            sb *= sb
+            ssq = h * sb.sum(axis=-1) - ssum ** 2
+            better = ssq < best_ssq
+            best_ssq = np.where(better, ssq, best_ssq)
+            center = np.where(better, block.mean(axis=-1), center)
     return float(center) if vals.ndim == 1 else center
 
 

@@ -56,14 +56,17 @@ and an entering kernel only raises d*F', so |F'(start)| bounds d*F' there
 from below.  An outlier start skips nothing from the start.
 
 The search runs on a stack of fields at once, in lock step: each pass of
-the walk checks consecutive cut points of every row still walking, from
-its first cut not cleared, each pass of the root solver takes one step on
-every row still solving, and a row leaves the batch when it is done.  A
-pass checks max(WALK_CUTS, WALK_CUTS * batch // rows left) cuts per row,
-so the work per pass stays about WALK_CUTS * batch row-cut evaluations
-and the last rows of a batch finish in a few passes.  A downward search
-runs as an upward one on the mirrored field (y -> -y), which negates
-every intermediate exactly.  nearest_mode is the batch of one.
+the walk checks consecutive cut points of every row in its working set,
+from the row's first cut not cleared, and each pass of the root solver
+takes one step on every row in its working set.  A row that is done
+stays in the set, its results no longer taken, until at most half of the
+set is live; the set then drops its finished rows, so each per-row array
+is copied about log2(batch) times per search, not on every pass.  A pass
+checks max(WALK_CUTS, WALK_CUTS * batch // set size) cuts per row, so the
+work per pass stays about WALK_CUTS * batch row-cut evaluations and the
+last rows of a batch finish in a few passes.  A downward search runs as
+an upward one on the mirrored field (y -> -y), which negates every
+intermediate exactly.  nearest_mode is the batch of one.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .kernels import _GAUSS_COEF
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 # fewest cut points the walk checks per row and lock-step pass
-WALK_CUTS = 2
+WALK_CUTS = 1
 
 
 class DegenerateFieldError(ValueError):
@@ -189,15 +192,22 @@ def _active(enter, leave, y):
 def _seg_derivs(y, ys, kc, seg, g, second=True):
     """(F', F'') at y, summing the kernels of `seg` untruncated; the kernel
     axis is the last one of ys, kc and seg and is summed out.  The mask is
-    multiplied into the terms, and second=False skips F'' (None)."""
+    multiplied into the terms (seg=None: kc already holds 0 outside the
+    segment), and second=False skips F'' (None)."""
     v = y[..., None] - ys
     v /= g
     t = np.multiply(v, -0.5)
     t *= v
     np.exp(t, out=t)
-    t *= seg
+    if seg is not None:
+        t *= seg
     t *= kc
-    fpp = ((v * v - 1.0) * t).sum(axis=-1) / (g * g) if second else None
+    fpp = None
+    if second:
+        fpp = v * v
+        fpp -= 1.0
+        fpp *= t
+        fpp = fpp.sum(axis=-1) / (g * g)
     v *= t
     return -v.sum(axis=-1) / g, fpp
 
@@ -208,81 +218,90 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     Rows are independent fields; kc == 0 marks a slot without a kernel.
     slope0[p] is |F'(y0[p])| over the kernels active at y0[p] (0 if none
     is known); the walk skips the cut points the bound from there clears
-    (see module docstring).  Every row runs the same steps in lock step,
-    and a row leaves the batch when it is done.  Returns (mode, root-solver
-    steps, converged).
+    (see module docstring).  Every row of the working set runs the same
+    steps in lock step.  Returns (mode, root-solver steps, converged).
     """
-    if not y0.size:
+    n = y0.size
+    if not n:
         return y0.copy(), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
     # a slot without a kernel has NaN cuts: sorted last, never active
-    yl = np.where(kc > 0.0, ys, np.nan)
-    enter, leave = yl - g, yl + g
-    cuts = np.sort(np.concatenate([enter, leave], axis=1), axis=1)
+    enter = np.where(kc > 0.0, ys, np.nan)
+    leave = enter + g
+    enter -= g
+    cuts = np.concatenate([enter, leave], axis=1)
+    cuts.sort(axis=1)
     last = cuts.shape[1] - 1
     first = np.count_nonzero(cuts <= y0[:, None], axis=1)
     # no zero lies below reach (the skip bound of the module docstring)
     curv = kc.sum(axis=1) / (g * g)
-    reach = y0 + (slope0 - tol) / curv
-    nxt = first.copy()
-    hit = np.empty_like(first)
-    rows = np.arange(y0.size)
-    while rows.size:
-        # each pass checks `span` consecutive cuts of every row still
-        # walking, from the first one not cleared.  The segment that ends at
-        # cut x holds the kernels entered and not yet left just below x.
-        # The last cut of a support component ends it with F' < 0 there, so
-        # every row stops (indices past the last cut repeat it)
-        span = min(last + 1, max(WALK_CUTS, WALK_CUTS * y0.size // rows.size))
-        c = cuts[rows]
-        j = np.maximum(nxt[rows],
-                       np.count_nonzero(c < reach[rows, None], axis=1))
+    nxt, reach = first, y0 + (slope0 - tol) / curv
+    lo, hi = np.empty(n), np.empty(n)
+    at, live, y, k = np.arange(n), np.ones(n, dtype=bool), ys, kc
+    while at.size:
+        # each pass checks `span` consecutive cuts of every row in the set,
+        # from the first one not cleared.  The segment that ends at cut x
+        # holds the kernels entered and not yet left just below x.  The
+        # last cut of a support component ends it with F' < 0 there, so
+        # every row stops (indices past the last cut repeat it).  A row
+        # stops at the segment [lo, hi] that holds its root
+        span = min(last + 1, max(WALK_CUTS, WALK_CUTS * n // at.size))
+        j = np.maximum(nxt, np.count_nonzero(cuts < reach[:, None], axis=1))
         idx = np.minimum(j[:, None] + np.arange(span), last)
-        x = np.take_along_axis(c, idx, axis=1)
-        m = (enter[rows, None] < x[..., None]) & (x[..., None] <= leave[
-            rows, None])
-        p = _seg_derivs(x, ys[rows, None], kc[rows, None], m, g, False)[0]
+        x = np.take_along_axis(cuts, idx, axis=1)
+        m = enter[:, None] < x[..., None]
+        m &= x[..., None] <= leave[:, None]
+        p = _seg_derivs(x, y[:, None], k[:, None], m, g, False)[0]
         down = p <= 0.0
-        stop = down.any(axis=1)
-        hit[rows[stop]] = idx[stop, down[stop].argmax(axis=1)]
-        rows, j, x, p = rows[~stop], j[~stop], x[~stop, -1], p[~stop, -1]
-        nxt[rows], reach[rows] = j + span, x + (p - tol) / curv[rows]
-    # the root of F' on the hit cut's segment lies in [near, far]: Newton,
-    # bisecting when a step leaves the bracket, plus one final Newton step
-    # that costs no evaluation (|F'| <= tol leaves y up to tol / |F''| from
-    # the root)
-    rows = np.arange(y0.size)
-    far = cuts[rows, hit]
-    near = np.where(hit == first, y0, cuts[rows, hit - 1])
-    seg = (enter < far[:, None]) & (far[:, None] <= leave)
-    fp, fpp = _seg_derivs(far, ys, kc, seg, g)
-    y = far.copy()
-    iters = np.full(y0.size, max_iter)
-    conv = np.zeros(y0.size, dtype=bool)
+        stop = np.flatnonzero(live & down.any(axis=1))
+        h = down[stop].argmax(axis=1)
+        hit, row = idx[stop, h], at[stop]
+        hi[row] = x[stop, h]
+        lo[row] = np.where(hit == first[row], y0[row], cuts[stop, hit - 1])
+        live[stop] = False
+        nxt, reach = j + span, x[:, -1] + (p[:, -1] - tol) / curv
+        if 2 * np.count_nonzero(live) <= at.size:
+            # one array at a time, so each original is freed before the
+            # next copy is made
+            cuts = cuts[live]
+            enter = enter[live]
+            leave = leave[live]
+            at, y, k, curv, nxt, reach, live = (a[live] for a in (
+                at, y, k, curv, nxt, reach, live))
+    # Newton on [lo, hi], bisecting when a step leaves the bracket, plus
+    # one final Newton step that costs no evaluation (|F'| <= tol leaves y
+    # up to tol / |F''| from the root).  The segment's kernels are folded
+    # into the weights, which is exact: t * 1 * kc = t * kc and t * 0 = 0
+    # for t >= 0
+    k = np.where((ys - g < hi[:, None]) & (hi[:, None] <= ys + g), kc, 0.0)
+    p, pp = _seg_derivs(hi, ys, k, None, g)
+    mode, yc, y = hi.copy(), hi, ys
+    iters = np.full(n, max_iter)
+    conv = np.zeros(n, dtype=bool)
+    at, live = np.arange(n), np.ones(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            if not rows.size:
+            if not at.size:
                 break
-            lo, hi, p, pp = near[rows], far[rows], fp[rows], fpp[rows]
-            yn = np.where(pp < 0.0, y[rows] - p / pp, lo)
+            yn = np.where(pp < 0.0, yc - p / pp, lo)
             out = ~((lo < yn) & (yn < hi))
             yn[out] = 0.5 * (lo[out] + hi[out])
-            stuck = ~((lo < yn) & (yn < hi))
-            iters[rows[stuck]] = it - 1
-            keep = ~stuck
-            rows, yn, lo, hi = rows[keep], yn[keep], lo[keep], hi[keep]
-            p, pp = _seg_derivs(yn, ys[rows], kc[rows], seg[rows], g)
-            y[rows] = yn
-            ok = np.abs(p) <= tol
+            stuck = live & ~((lo < yn) & (yn < hi))
+            iters[at[stuck]] = it - 1
+            live &= ~stuck
+            p, pp = _seg_derivs(yn, y, k, None, g)
+            mode[at[live]] = yn[live]
+            ok = live & (np.abs(p) <= tol)
             yf = np.where(pp < 0.0, yn - p / pp, yn)
-            y[rows[ok]] = np.where((lo < yf) & (yf < hi), yf, yn)[ok]
-            iters[rows[ok]] = it
-            conv[rows[ok]] = True
+            mode[at[ok]] = np.where((lo < yf) & (yf < hi), yf, yn)[ok]
+            iters[at[ok]] = it
+            conv[at[ok]] = True
+            live &= ~ok
             up = p > 0.0
-            near[rows[~ok & up]] = yn[~ok & up]
-            far[rows[~ok & ~up]] = yn[~ok & ~up]
-            fp[rows], fpp[rows] = p, pp
-            rows = rows[~ok]
-    return y, iters, conv
+            lo, hi, yc = np.where(up, yn, lo), np.where(up, hi, yn), yn
+            if 2 * np.count_nonzero(live) <= at.size:
+                at, y, k, lo, hi, yc, p, pp, live = (a[live] for a in (
+                    at, y, k, lo, hi, yc, p, pp, live))
+    return mode, iters, conv
 
 
 def _nearest_modes(ys, ks, g, start, tol, max_iter):
@@ -295,33 +314,38 @@ def _nearest_modes(ys, ks, g, start, tol, max_iter):
     """
     kc = ks * (_GAUSS_COEF / g)
     live = kc > 0.0
-    enter, leave = ys - g, ys + g
     s = start[:, None]
-    on = _active(enter, leave, s) & live
+    on = _active(ys - g, ys + g, s) & live
     fp = _seg_derivs(start, ys, kc, on, g, False)[0]
     d = np.where(on.any(axis=1),
                  np.where(np.abs(fp) <= tol, 0, np.sign(fp)), 2).astype(int)
-    climb, both = np.flatnonzero(abs(d) == 1), np.flatnonzero(d == 2)
-    # outlier start: no kernel is active there, so each one enters at or
-    # above it or leaves at or below it.  Search away from the start from
-    # the cut point where the density begins on either side
-    enter, leave, s, live = enter[both], leave[both], s[both], live[both]
-    up = np.where(live & (enter >= s), enter, np.inf).min(axis=1)
-    down = np.where(live & (leave <= s), leave, -np.inf).max(axis=1)
-    src = np.concatenate([climb, both, both])
-    sgn = np.concatenate([d[climb], np.repeat([1, -1], both.size)])
-    y0 = np.concatenate([start[climb], up, down])
-    # the walk of a climbing start skips from |F'(start)|; an outlier start
-    # has no slope to skip from
-    slope0 = np.concatenate([np.abs(fp[climb]), np.zeros(2 * both.size)])
-    go = np.isfinite(y0)
-    src, sgn, y0, slope0 = src[go], sgn[go], y0[go], slope0[go]
-    m, it, ok = _climb(sgn[:, None] * ys[src], kc[src], g, sgn * y0, slope0,
-                       tol, max_iter)
+    src = np.flatnonzero(abs(d) == 1)
+    # the walk of a climbing start skips from |F'(start)|
+    sgn, y0, slope0 = d[src], start[src], np.abs(fp[src])
+    both = np.flatnonzero(d == 2)
+    if both.size:
+        # outlier start: no kernel is active there, so each one enters at
+        # or above it or leaves at or below it.  Search away from the start
+        # from the cut point where the density begins on either side; there
+        # is no slope to skip from
+        enter, leave = ys[both] - g, ys[both] + g
+        s, live = s[both], live[both]
+        up = np.where(live & (enter >= s), enter, np.inf).min(axis=1)
+        down = np.where(live & (leave <= s), leave, -np.inf).max(axis=1)
+        src = np.concatenate([src, both, both])
+        sgn = np.concatenate([sgn, np.repeat([1, -1], both.size)])
+        y0 = np.concatenate([y0, up, down])
+        slope0 = np.concatenate([slope0, np.zeros(2 * both.size)])
+        go = np.isfinite(y0)
+        src, sgn, y0, slope0 = src[go], sgn[go], y0[go], slope0[go]
+    # a downward search climbs the mirrored field y -> -y
+    ys, kc, dn = ys[src], kc[src], sgn < 0
+    ys[dn] = -ys[dn]
+    m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, tol, max_iter)
     # slot 0 holds the upward results and the stays, slot 1 the downward
     # ones; only an outlier start fills both, and then the candidate closer
     # to the start wins, a tie picking the smaller (downward) intensity
-    slot = (sgn < 0).astype(int)
+    slot = dn.astype(int)
     cand = np.full((2, start.size), np.nan)
     iters = np.zeros((2, start.size), dtype=int)
     conv = np.ones((2, start.size), dtype=bool)

@@ -128,6 +128,22 @@ def ref_lts_center(values, r):
     return best_mean
 
 
+def ref_lts_center_stack(values, r):
+    """LTS centres of a (P, n) stack, every sorted block scored at once.
+
+    All r + 1 blocks of n - r sorted values are scored on one strided
+    sliding-window view by the ranking of ref_lts_center, and argmin's
+    first occurrence picks the block.
+    """
+    s = np.sort(np.asarray(values, dtype=float), axis=-1)
+    h = s.shape[-1] - r
+    blocks = np.lib.stride_tricks.sliding_window_view(s, h, axis=-1)
+    sb = blocks - np.round(s[..., (s.shape[-1] - 1) // 2])[..., None, None]
+    best = np.argmin(h * (sb * sb).sum(axis=-1) - sb.sum(axis=-1) ** 2, -1)
+    return np.take_along_axis(blocks, best[..., None, None], axis=-2)[
+        ..., 0, :].mean(axis=-1)
+
+
 def ref_lattice_weights(radius_px):
     """Spatial weights over the full (2w+1)^2 offset lattice, row-major."""
     w = radius_px

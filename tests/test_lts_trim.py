@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmsmooth.lts_trim import lts_center, trim_count, trim_values
 
-from conftest import ref_lts_center
+from conftest import ref_lts_center, ref_lts_center_stack
 
 
 def test_trim_count_floor():
@@ -37,6 +37,20 @@ def test_center_tie_takes_first_block():
     # blocks {0,0} and {4,4} have identical within-block scatter
     vals = np.array([4.0, 0.0, 0.0, 4.0])
     assert lts_center(vals, 2) == 0.0
+
+
+@pytest.mark.parametrize("n", [9, 25, 49, 81])
+def test_center_of_stack_matches_stacked_block_scoring(rng, n):
+    # scoring one block at a time gives every centre bit for bit as
+    # scoring all blocks at once; integer data with a run of equal values
+    # holds many equal-scatter ties
+    r = trim_count(n, 0.15)
+    ints = rng.integers(0, 256, size=(400, n)).astype(float)
+    ints[::3, :n // 3] = 7.0
+    floats = rng.normal(100.0, 40.0, size=(400, n))
+    for stack in (ints, floats):
+        got = lts_center(stack, r)
+        assert got.tobytes() == ref_lts_center_stack(stack, r).tobytes()
 
 
 def test_trim_keeps_cluster_drops_planted_outliers():

@@ -1,9 +1,11 @@
 """Window estimates, automatic bandwidth, and whole-image smoothing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tmsmooth import smoother
+from tmsmooth import mode_density, smoother
 from tmsmooth.grid_image import Image
 from tmsmooth.smoother import (DegenerateScaleError, SmootherParams,
                                auto_scale, median_smooth, smooth,
@@ -234,6 +236,65 @@ def test_output_independent_of_band_size(monkeypatch, border, trim):
         assert np.array_equal(out, runs[0][0])
         assert rep == runs[0][1]
         assert np.array_equal(med, runs[0][2])
+
+
+@pytest.mark.parametrize("border", ["clip", "replicate"])
+@pytest.mark.parametrize("radius, trim, g", [(4, 0.0, 13.0), (2, 0.15, None)])
+def test_output_independent_of_band_size_at_scale(monkeypatch, border,
+                                                  radius, trim, g):
+    # a noisy 40x37 ramp in one band, in bands of one and of five rows,
+    # and in the default bands (at least two of them).  At radius 4,
+    # untrimmed, rows leave the walk and the root solver on different
+    # passes, so the search drops finished rows from its working set
+    i, j = np.mgrid[0:40, 0:37]
+    noise = np.random.default_rng(11).normal(0.0, 10.0, (40, 37))
+    img = Image(np.round(80.0 + 1.5 * i + j + noise))
+    params = SmootherParams(radius_px=radius, trim_fraction=trim,
+                            bandwidth=g, border=border)
+    k = (2 * radius + 1) ** 2
+    assert smoother.BAND_ENTRIES // (37 * k) < 40  # two default bands
+    sets = []
+    seg_derivs = mode_density._seg_derivs
+
+    def recorded(y, *args):
+        sets.append(len(y))
+        return seg_derivs(y, *args)
+
+    runs = []
+    monkeypatch.setattr(mode_density, "_seg_derivs", recorded)
+    for entries in (40 * 37 * k, 37 * k, 5 * 37 * k, smoother.BAND_ENTRIES):
+        monkeypatch.setattr(smoother, "BAND_ENTRIES", entries)
+        out, rep = smooth(img, params)
+        runs.append((out.pixels, {**rep.to_dict(), "wall_time_s": 0.0}))
+        if radius == 4 and len(runs) == 1:
+            # one band: a search that never dropped rows would see two
+            # sizes only, the band and its climbing rows
+            assert len(set(sets)) > 4
+    for out, rep in runs[1:]:
+        assert out.tobytes() == runs[0][0].tobytes()
+        assert rep == runs[0][1]
+
+
+def test_working_set_does_not_grow_with_image():
+    # aim: memory stays bounded on large images.  The traced peak of a
+    # smooth, minus the output and the padded copy of the input, is the
+    # same for a 96x96 and a 192x192 image within one band of window values
+    for radius, trim, g in [(2, 0.15, None), (4, 0.0, 13.0)]:
+        params = SmootherParams(radius_px=radius, trim_fraction=trim,
+                                bandwidth=g)
+        rest = []
+        for n in (96, 192):
+            img = Image(noisy_integer_image(np.random.default_rng(n), (n, n)))
+            smooth(img, params)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out, _ = smooth(img, params)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            rest.append(peak - out.pixels.nbytes - (n + 2 * radius) ** 2 * 8)
+        assert abs(rest[1] - rest[0]) <= smoother.BAND_ENTRIES * 8
 
 
 @pytest.mark.parametrize("border", ["clip", "replicate"])
