@@ -14,7 +14,7 @@ from .eval_robust import (BiasProbeReport, MetricsReport, breakdown_estimate,
 from .grid_image import (GridGeometry, Image, PgmParseError, design_point,
                          parse_pgm, pgm_bytes, quantize, read_pgm, window_at,
                          write_pgm)
-from .kernels import k2, l0, l1, l2
+from .kernels import k2, l0
 from .lts_trim import lts_center, trim_count, trim_values
 from .mode_density import (DegenerateFieldError, DensityField, ModeResult,
                            nearest_mode)
@@ -33,7 +33,7 @@ __all__ = [
     "write_probe_csv",
     "GridGeometry", "Image", "PgmParseError", "design_point", "parse_pgm",
     "pgm_bytes", "quantize", "read_pgm", "window_at", "write_pgm",
-    "k2", "l0", "l1", "l2",
+    "k2", "l0",
     "lts_center", "trim_count", "trim_values",
     "DegenerateFieldError", "DensityField", "ModeResult", "nearest_mode",
     "Disk", "NoiseSpec", "Polygon", "Rect", "Region", "SceneConfigError",

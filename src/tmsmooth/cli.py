@@ -1,9 +1,9 @@
 """Command-line pipelines: synthesize, contaminate, smooth, evaluate, probe.
 
 Every run is reproducible: noise is seeded, smoothing is deterministic,
-and JSON reports echo all resolved parameters.  Exit codes: 0 success,
-2 usage or configuration error, 3 image I/O error, 4 degenerate scale
-(automatic bandwidth collapsed; pass an explicit --g).
+and JSON reports echo the resolved estimator parameters.  Exit codes:
+0 success, 2 usage or configuration error, 3 image I/O error,
+4 degenerate scale (automatic bandwidth collapsed; pass an explicit --g).
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def cmd_noise(ns: argparse.Namespace) -> int:
 
 def cmd_smooth(ns: argparse.Namespace) -> int:
     params = SmootherParams(radius_px=ns.radius, bandwidth=ns.g,
-                            trim_fraction=ns.l, tol=ns.tol,
-                            max_iter=ns.max_iter, border=ns.border)
+                            trim_fraction=ns.l, border=ns.border)
     img = read_pgm(ns.input)
     result, report = smooth(img, params)
     write_pgm(result, ns.out, binary=not ns.ascii)
@@ -202,7 +201,7 @@ def cmd_probe(ns: argparse.Namespace) -> int:
                "trim_fraction": ns.l, **report.to_dict()}
     if ns.breakdown:
         frac = breakdown_estimate(win.values, params,
-                                  magnitudes=ns.magnitudes, seed=ns.seed)
+                                  magnitudes=ns.magnitudes)
         payload["breakdown_fraction"] = frac
         print(f"probe: breakdown fraction ~ {frac:.6g} "
               f"({round(frac * n)}/{n})")
@@ -262,12 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default 0.15)")
     p.add_argument("--radius", type=int, default=2,
                    help="window radius in pixels (default 2)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="stop the mode search once |F'| <= tol "
-                        "(default 1e-8)")
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter",
-                   help="cap on the mode search's root-solver steps "
-                        "(default 200)")
     p.add_argument("--border", choices=("clip", "replicate"),
                    default="clip")
     p.add_argument("--report", help="write a JSON run report here")

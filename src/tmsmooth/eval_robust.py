@@ -279,8 +279,8 @@ def max_bias_probe(values, r: int,
 
 
 def breakdown_estimate(values, params: SmootherParams = SmootherParams(),
-                       magnitudes: tuple[float, ...] = DEFAULT_MAGNITUDES,
-                       random_trials: int = 0, seed: int = 0) -> float:
+                       magnitudes: tuple[float, ...] = DEFAULT_MAGNITUDES
+                       ) -> float:
     """Smallest replacement fraction that drives the estimate far away.
 
     Escalates the replacement count until the probe's worst bias
@@ -293,7 +293,7 @@ def breakdown_estimate(values, params: SmootherParams = SmootherParams(),
     threshold = BREAKDOWN_RANGE_FACTOR * float(vals.max() - vals.min())
     for r in range(1, n):
         report = max_bias_probe(vals, r, params, magnitudes=magnitudes,
-                                random_trials=random_trials, seed=seed)
+                                random_trials=0)
         if report.worst_bias > threshold:
             return r / n
     return 1.0

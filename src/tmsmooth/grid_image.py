@@ -55,10 +55,6 @@ class Image:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    def to_array(self) -> np.ndarray:
-        """Writable copy of the pixel data."""
-        return self.pixels.copy()
-
 
 @dataclass(frozen=True)
 class GridGeometry:

@@ -39,18 +39,6 @@ def l0(v):
     return _masked(v, _GAUSS_COEF * np.exp(-0.5 * v * v))
 
 
-def l1(v):
-    """First derivative of l0 on the open support, 0.0 elsewhere."""
-    v = np.asarray(v, dtype=float)
-    return _masked(v, -v * _GAUSS_COEF * np.exp(-0.5 * v * v))
-
-
-def l2(v):
-    """Second derivative of l0 on the open support, 0.0 elsewhere."""
-    v = np.asarray(v, dtype=float)
-    return _masked(v, (v * v - 1.0) * _GAUSS_COEF * np.exp(-0.5 * v * v))
-
-
 def k2(u1, u2):
     """Product spatial kernel on (-1, 1)^2: k2(u) = l0(u1) * l0(u2)."""
     return l0(u1) * l0(u2)

@@ -69,8 +69,6 @@ class SmootherParams:
     radius_px: int = 2
     bandwidth: float | None = None
     trim_fraction: float = 0.15
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     border: str = "clip"
 
     def __post_init__(self):
@@ -80,10 +78,6 @@ class SmootherParams:
             raise ValueError("bandwidth must be positive (or None for auto)")
         if not (0.0 <= self.trim_fraction < 0.5):
             raise ValueError("trim_fraction must be in [0, 0.5)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         if self.border not in ("clip", "replicate"):
             raise ValueError(f"unknown border mode {self.border!r}")
 
@@ -99,8 +93,6 @@ class SmoothReport:
     bandwidth_mode: str
     trim_fraction: float
     border: str
-    tol: float
-    max_iter: int
     interior_trim_count: int
     trimmed_total: int
     median_fallback_pixels: int
@@ -167,9 +159,14 @@ def auto_scale(img: Image, radius_px: int = 2) -> float:
 
 
 def _lattice_kappa(w: int) -> np.ndarray:
-    """Product-kernel weights of the (2w+1)^2 window offsets, row-major."""
+    """Spatial weights of the (2w+1)^2 window offsets, row-major.
+
+    The spatial kernel K_h(x) = K(x/h) / h^2 and the 1/n^2 average both
+    stay in the weights so field values match the estimator definition:
+    with h = (w/H, w/W) and n^2 = HW, their product is 1 / w^2.
+    """
     lat = np.arange(-w, w + 1) / w
-    return k2(np.repeat(lat, 2 * w + 1), np.tile(lat, 2 * w + 1))
+    return k2(np.repeat(lat, 2 * w + 1), np.tile(lat, 2 * w + 1)) / (w * w)
 
 
 def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
@@ -204,7 +201,7 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
         modes[fb] = _quantiles(win[fb], 0.5)[0]
         ys, ks, start = ys[~fb], ks[~fb], start[~fb]
     modes[~fb], _, _, conv = mode_density._nearest_modes(
-        ys, ks, g, start, params.tol, params.max_iter)
+        ys, ks, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     return modes, trimmed, int(fb.sum()), int(conv.size - conv.sum())
 
 
@@ -219,10 +216,7 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
         g_mode = "auto"
     else:
         g, g_mode = float(params.bandwidth), "fixed"
-    h_row, h_col = w / H, w / W
-    # the spatial kernel K_h(x) = K(x/h) / h^2 and the 1/n^2 average both
-    # stay in the weights so field values match the estimator definition
-    kappa = _lattice_kappa(w) * (1.0 / (h_row * h_col * H * W))
+    kappa = _lattice_kappa(w)
     out = np.empty(H * W)
     totals = np.zeros(3, dtype=int)
     for p0, win in _bands(img, w, params.border):
@@ -232,7 +226,6 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
     report = SmoothReport(
         width=W, height=H, radius_px=w, bandwidth=g, bandwidth_mode=g_mode,
         trim_fraction=params.trim_fraction, border=params.border,
-        tol=params.tol, max_iter=params.max_iter,
         interior_trim_count=(trim_count((2 * w + 1) ** 2,
                                         params.trim_fraction)
                              if has_full else 0),
@@ -256,8 +249,8 @@ def window_mode_estimate(values, params: SmootherParams, bandwidth: float):
     if vals.shape[-1:] != (k,):
         raise ValueError(f"expected {k} values for radius {w}, got "
                          f"shape {vals.shape}")
-    modes = _estimate(vals.reshape(-1, k), _lattice_kappa(w) / (w * w),
-                      bandwidth, params)[0]
+    modes = _estimate(vals.reshape(-1, k), _lattice_kappa(w), bandwidth,
+                      params)[0]
     return float(modes[0]) if vals.ndim == 1 else modes.reshape(
         vals.shape[:-1])
 

@@ -15,6 +15,12 @@ import pytest
 TRUNC_MASS = math.erf(1.0 / math.sqrt(2.0))
 GAUSS_NORM = 1.0 / (TRUNC_MASS * math.sqrt(2.0 * math.pi))
 
+# the keys of a smooth report; the CLI's --report JSON adds input, output
+REPORT_KEYS = {"width", "height", "radius_px", "bandwidth", "bandwidth_mode",
+               "trim_fraction", "border", "interior_trim_count",
+               "trimmed_total", "median_fallback_pixels",
+               "nonconverged_pixels", "wall_time_s"}
+
 
 def ref_field(ys, ks, g):
     """Reference density: returns (F, F1, F2) callables, vectorised in y.

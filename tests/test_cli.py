@@ -8,6 +8,8 @@ import pytest
 from tmsmooth.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from tmsmooth.grid_image import Image, read_pgm, write_pgm
 
+from conftest import REPORT_KEYS
+
 SCENE = """\
 # block on a flat base
 base = constant 30
@@ -52,6 +54,7 @@ def test_synth_noise_smooth_eval_probe_pipeline(tmp_path, scene_file, capsys):
                  "--radius", "2", "--out", str(out),
                  "--report", str(report)]) == EXIT_OK
     rep = json.loads(report.read_text())
+    assert set(rep) == REPORT_KEYS | {"input", "output"}
     assert rep["bandwidth"] == 25.0
     assert rep["bandwidth_mode"] == "fixed"
     assert rep["output"] == str(out)

@@ -1,4 +1,4 @@
-"""Truncated Gaussian kernel: normalization, derivatives, exact cutoff."""
+"""Truncated Gaussian kernel: normalization, concavity, exact cutoff."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from tmsmooth.kernels import TRUNC_MASS, k2, l0, l1, l2
+from tmsmooth.kernels import TRUNC_MASS, k2, l0
 
 # independently integrated mass of the standard normal over (-1, 1)
 QUAD_MASS, _ = integrate.quad(
@@ -27,8 +27,6 @@ def test_center_value_frozen():
 def test_point_values_frozen():
     # quadrature-free closed forms evaluated once with scipy as cross-check
     assert l0(0.5) == pytest.approx(0.5157034505719386, abs=1e-14)
-    assert l1(0.5) == pytest.approx(-0.2578517252859693, abs=1e-14)
-    assert l2(0.5) == pytest.approx(-0.3867775879289539, abs=1e-14)
 
 
 def test_l0_integrates_to_one():
@@ -45,8 +43,6 @@ def test_k2_integrates_to_one():
 def test_exact_zero_at_and_beyond_cutoff():
     for v in (1.0, -1.0, 1.0000001, -3.0, 100.0):
         assert l0(v) == 0.0
-        assert l1(v) == 0.0
-        assert l2(v) == 0.0
     assert k2(1.0, 0.0) == 0.0
     assert k2(0.0, -1.0) == 0.0
     assert k2(1.0, 1.0) == 0.0
@@ -54,38 +50,16 @@ def test_exact_zero_at_and_beyond_cutoff():
 
 def test_vectorized_matches_scalar():
     v = np.linspace(-1.5, 1.5, 31)
-    for f in (l0, l1, l2):
-        arr = f(v)
-        assert arr.shape == v.shape
-        for x, y in zip(v, arr):
-            assert f(float(x)) == y
-
-
-def test_l1_is_derivative_of_l0():
-    # central differences away from the cutoff
-    v = np.linspace(-0.95, 0.95, 101)
-    h = 1e-6
-    fd = (l0(v + h) - l0(v - h)) / (2 * h)
-    assert np.allclose(fd, l1(v), rtol=1e-6, atol=1e-9)
-
-
-def test_l2_is_derivative_of_l1():
-    v = np.linspace(-0.95, 0.95, 101)
-    h = 1e-6
-    fd = (l1(v + h) - l1(v - h)) / (2 * h)
-    assert np.allclose(fd, l2(v), rtol=1e-6, atol=1e-9)
+    arr = l0(v)
+    assert arr.shape == v.shape
+    for x, y in zip(v, arr):
+        assert l0(float(x)) == y
 
 
 @given(st.floats(-0.999, 0.999))
 def test_symmetry_and_signs(v):
     assert l0(v) == l0(-v)
     assert l0(v) > 0
-    assert l1(-v) == -l1(v)
-    # restoring force points toward the kernel center
-    if v > 0:
-        assert l1(v) < 0
-    elif v < 0:
-        assert l1(v) > 0
 
 
 @given(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999))
@@ -95,6 +69,8 @@ def test_product_kernel_structure(a, b):
 
 
 def test_strictly_concave_inside_support():
-    # (v^2 - 1) < 0 on the open support, so curvature never flips sign
-    v = np.linspace(-0.9999, 0.9999, 501)
-    assert np.all(l2(v) < 0)
+    # l0'' is proportional to (v^2 - 1) < 0 on the open support, so the
+    # curvature never flips sign; second differences away from the cutoff
+    v = np.linspace(-0.999, 0.999, 501)
+    h = 1e-4
+    assert np.all(l0(v + h) - 2.0 * l0(v) + l0(v - h) < 0)
