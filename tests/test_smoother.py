@@ -30,7 +30,8 @@ WINDOW25 = [12, 40, 208, 63, 89, 27, 250, 71, 44, 96, 58, 80, 66,
     {"bandwidth": -3.0},
     {"trim_fraction": 0.5},
     {"trim_fraction": -0.1},
-    {"border": "wrap"},
+    # keeps the id it had while the tol and max_iter cases stood before it
+    pytest.param({"border": "wrap"}, id="kwargs7"),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
