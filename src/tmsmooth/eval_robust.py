@@ -15,6 +15,11 @@ replacement counts 1..r, so the reported worst bias is monotone in r)
 plus seeded random trials at exactly r.  This can falsify the support
 bound and demonstrate breakdown, but does not certify the exact
 breakdown fraction.
+
+Each case is a row of a `replaced` mask over the window positions,
+ranked once by centrality, and of replacement values.  The probe at r
+holds every fixed case of the probes at smaller r, so
+`breakdown_estimate` answers from one probe at r = n - 1.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,14 +148,8 @@ class BiasProbeReport:
     random_trials: int
 
     def to_dict(self) -> dict:
-        return {"r": self.r, "worst_bias": self.worst_bias,
-                "bound": self.bound, "violated": self.violated,
-                "bound_violations": self.bound_violations,
-                "estimate_clean": self.estimate_clean,
-                "bandwidth": self.bandwidth,
-                "magnitudes": list(self.magnitudes),
-                "strategies": list(self.strategies),
-                "random_trials": self.random_trials}
+        return {**asdict(self), "magnitudes": list(self.magnitudes),
+                "strategies": list(self.strategies)}
 
 
 def _window_side(n: int) -> int:
@@ -161,32 +160,16 @@ def _window_side(n: int) -> int:
     return side
 
 
-def _positions_by_centrality(side: int) -> list[int]:
-    """Flat indices sorted by (Chebyshev distance from center, row, col)."""
-    c = side // 2
-    order = []
-    for i in range(side):
-        for j in range(side):
-            order.append((max(abs(i - c), abs(j - c)), i, j))
-    order.sort()
-    return [i * side + j for _, i, j in order]
-
-
-def _strategy_values(name: str, count: int, magnitude: float,
-                     clean_mode: float) -> np.ndarray:
-    if name == "all_plus" or name == "center":
-        return np.full(count, magnitude)
-    if name == "all_minus":
-        return np.full(count, -magnitude)
-    if name == "split":
-        vals = np.full(count, magnitude)
-        vals[1::2] = -magnitude
-        return vals
-    if name == "mode_plus":
-        return np.full(count, clean_mode + magnitude)
-    if name == "mode_minus":
-        return np.full(count, clean_mode - magnitude)
-    raise ValueError(f"unknown strategy {name!r}")
+# name -> (spares the center, sign at even / odd pool rank, relative): a
+# replaced value is sign * magnitude, plus the clean estimate if relative
+_STRATEGIES = {
+    "all_plus": (1, 1.0, 1.0, 0),
+    "all_minus": (1, -1.0, -1.0, 0),
+    "center": (0, 1.0, 1.0, 0),
+    "split": (1, 1.0, -1.0, 0),
+    "mode_plus": (1, 1.0, 1.0, 1),
+    "mode_minus": (1, -1.0, -1.0, 1),
+}
 
 
 def _probe_bandwidth(values: np.ndarray, params: SmootherParams) -> float:
@@ -194,6 +177,58 @@ def _probe_bandwidth(values: np.ndarray, params: SmootherParams) -> float:
         return params.bandwidth
     iqr = float(_window_iqr(values))
     return iqr if iqr > 1e-6 else PROBE_FALLBACK_BANDWIDTH
+
+
+def _probe_stack(vals: np.ndarray, r: int, params: SmootherParams,
+                 magnitudes: tuple[float, ...], strategies: tuple[str, ...],
+                 random_trials: int, seed: int):
+    """(g, clean estimate, contaminated, replaced, estimates) of the probe
+    at r; each row of the stack is estimated on its own."""
+    n = vals.size
+    side = _window_side(n)
+    params = replace(params, radius_px=side // 2)
+    if not (0 <= r < n):
+        raise ValueError("need 0 <= r < window size")
+    for name in strategies:
+        if name not in _STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}")
+    table = np.array([_STRATEGIES[name] for name in strategies], dtype=float)
+    spare, even, odd, rel = table.reshape(-1, 4).T[:, :, None, None]
+    g = _probe_bandwidth(vals, params)
+    # the clean window rides as row 0 of the stacked estimate call below,
+    # unless a strategy places its values relative to the clean estimate
+    relative = bool(rel.any())
+    clean_est = window_mode_estimate(vals, params, g) if relative else 0.0
+
+    # each position's rank in (Chebyshev distance from center, row, col)
+    # order; case (count k, magnitude) replaces pool ranks 0 .. k - 1
+    ring = abs(np.arange(side) - side // 2)
+    order = np.argsort(np.maximum.outer(ring, ring), axis=None, kind="stable")
+    pool = np.argsort(order) - spare
+    fixed = (0 <= pool) & (pool < np.arange(1, r + 1)[:, None])
+    value = (np.where(rel > 0, clean_est, 0.0) + np.where(pool % 2, odd, even)
+             * np.asarray(magnitudes, dtype=float)[:, None])
+    shape = (len(strategies), r, len(magnitudes), n)
+    masks = [np.broadcast_to(fixed[:, :, None], shape).reshape(-1, n)]
+    repl = [np.broadcast_to(value[:, None], shape).reshape(-1, n)]
+    if r > 0 and random_trials > 0:
+        vmax = max(magnitudes, default=DEFAULT_MAGNITUDES[-1])
+        gen = Generator(Philox(0))
+        masks.append(np.zeros((random_trials, n), dtype=bool))
+        repl.append(np.zeros((random_trials, n)))
+        for trial in range(random_trials):
+            _rekey(gen, [seed, trial])
+            positions = gen.choice(n, size=r, replace=False)
+            masks[-1][trial, positions] = True
+            repl[-1][trial, positions] = gen.uniform(-vmax, vmax, size=r)
+    replaced = np.concatenate(masks)
+    contaminated = np.where(replaced, np.concatenate(repl), vals)
+    # every contaminated window, estimated in one stacked call
+    stack = contaminated if relative else np.vstack([vals, contaminated])
+    est = window_mode_estimate(stack, params, g)
+    if not relative:
+        clean_est, est = float(est[0]), est[1:]
+    return g, clean_est, contaminated, replaced, est
 
 
 def max_bias_probe(values, r: int,
@@ -212,47 +247,13 @@ def max_bias_probe(values, r: int,
     and r does not exceed the trimmable count, each contaminated
     estimate is checked against the support interval computed from the
     values that were NOT replaced, and the reported scalar bound comes
-    from the clean window extremes.
+    from the clean window extremes.  An unknown strategy raises
+    ValueError, also at r = 0.
     """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
-    side = _window_side(n)
-    params = replace(params, radius_px=side // 2)
-    if not (0 <= r < n):
-        raise ValueError("need 0 <= r < window size")
-    g = _probe_bandwidth(vals, params)
-    # the clean window rides as row 0 of the stacked estimate call below,
-    # unless a strategy places its values relative to the clean estimate
-    relative = bool({"mode_plus", "mode_minus"} & set(strategies))
-    clean_est = window_mode_estimate(vals, params, g) if relative else None
-
-    order = _positions_by_centrality(side)
-    noncenter = order[1:]
-    cases: list[tuple[list[int], np.ndarray]] = (
-        [] if relative else [([], np.empty(0))])
-    for name in strategies:
-        pool = order if name == "center" else noncenter
-        for k in range(1, min(r, len(pool)) + 1):
-            for mag in magnitudes:
-                cases.append((pool[:k],
-                              _strategy_values(name, k, mag, clean_est)))
-    if r > 0 and random_trials > 0:
-        vmax = max(magnitudes) if magnitudes else DEFAULT_MAGNITUDES[-1]
-        gen = Generator(Philox(0))
-        for trial in range(random_trials):
-            _rekey(gen, [seed, trial])
-            positions = gen.choice(n, size=r, replace=False).tolist()
-            cases.append((positions, gen.uniform(-vmax, vmax, size=r)))
-    # every contaminated window, estimated in one stacked call
-    contaminated = np.tile(vals, (len(cases), 1))
-    replaced = np.zeros(contaminated.shape, dtype=bool)
-    for row, (positions, repl) in enumerate(cases):
-        contaminated[row, positions] = repl
-        replaced[row, positions] = True
-    est = window_mode_estimate(contaminated, params, g)
-    if not relative:
-        clean_est = float(est[0])
-        contaminated, replaced, est = contaminated[1:], replaced[1:], est[1:]
+    g, clean_est, contaminated, replaced, est = _probe_stack(
+        vals, r, params, magnitudes, strategies, random_trials, seed)
     worst = float(np.abs(est - clean_est).max(initial=0.0))
     r_trim = trim_count(n, params.trim_fraction)
     check_bound = params.trim_fraction > 0.0 and 0 < r <= r_trim
@@ -283,20 +284,17 @@ def breakdown_estimate(values, params: SmootherParams = SmootherParams(),
                        ) -> float:
     """Smallest replacement fraction that drives the estimate far away.
 
-    Escalates the replacement count until the probe's worst bias
-    exceeds BREAKDOWN_RANGE_FACTOR times the clean value range at the
-    largest magnitude tried; returns 1.0 if no count does.
+    The fewest replacements, over n, among the cases of the probe at
+    n - 1 (default strategies, no random trials) whose bias exceeds
+    BREAKDOWN_RANGE_FACTOR times the clean value range; 1.0 if none does.
     """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
-    _window_side(n)
+    _, clean_est, _, replaced, est = _probe_stack(
+        vals, n - 1, params, magnitudes, DEFAULT_STRATEGIES, 0, 0)
     threshold = BREAKDOWN_RANGE_FACTOR * float(vals.max() - vals.min())
-    for r in range(1, n):
-        report = max_bias_probe(vals, r, params, magnitudes=magnitudes,
-                                random_trials=0)
-        if report.worst_bias > threshold:
-            return r / n
-    return 1.0
+    broken = replaced.sum(axis=1)[np.abs(est - clean_est) > threshold]
+    return int(broken.min()) / n if broken.size else 1.0
 
 
 # -- report serialization ----------------------------------------------------

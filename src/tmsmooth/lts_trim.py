@@ -91,5 +91,6 @@ def trim_values(values, trim_fraction: float):
     below = resid < thr[..., None]
     tied = resid == thr[..., None]
     need = keep - np.count_nonzero(below, axis=-1)
-    mask = below | (tied & (np.cumsum(tied, axis=-1) <= need[..., None]))
+    ties = np.cumsum(tied, axis=-1, dtype=np.min_scalar_type(n))  # <= n
+    mask = below | (tied & (ties <= need[..., None]))
     return center, mask, thr, r

@@ -242,7 +242,6 @@ def _pixel_noise(spec: NoiseSpec, gen: Generator, clean: float) -> float:
                 raise RuntimeError(
                     "truncation bound rejects nearly every draw; "
                     "increase truncate or reduce sigma")
-        return clean + eps
     return clean + eps
 
 

@@ -205,6 +205,22 @@ def ref_smooth(px, radius_px, g, trim_fraction, border="clip"):
     return out
 
 
+def ref_breakdown(values, params, magnitudes):
+    """Breakdown fraction by escalation: probe r = 1, 2, ... (default
+    strategies, no random trials) until the worst bias exceeds
+    BREAKDOWN_RANGE_FACTOR times the clean range; 1.0 if no r does."""
+    from tmsmooth.eval_robust import BREAKDOWN_RANGE_FACTOR, max_bias_probe
+    vals = np.asarray(values, dtype=float).ravel()
+    n = vals.size
+    threshold = BREAKDOWN_RANGE_FACTOR * float(vals.max() - vals.min())
+    for r in range(1, n):
+        report = max_bias_probe(vals, r, params, magnitudes=magnitudes,
+                                random_trials=0)
+        if report.worst_bias > threshold:
+            return r / n
+    return 1.0
+
+
 def random_positive_field(rng, n_max=25, g_range=(5.0, 60.0)):
     """Random density field with strictly positive weights.
 

@@ -9,16 +9,20 @@ import pytest
 
 from tmsmooth.grid_image import Image
 from tmsmooth.smoother import SmootherParams, window_mode_estimate
-from tmsmooth.eval_robust import (BREAKDOWN_RANGE_FACTOR, BiasProbeReport,
+from tmsmooth.eval_robust import (BREAKDOWN_RANGE_FACTOR, DEFAULT_MAGNITUDES,
+                                  DEFAULT_STRATEGIES, BiasProbeReport,
                                   MetricsReport, breakdown_estimate,
                                   edge_band, max_bias_probe, metrics,
                                   tm_support_bound, write_json_report,
                                   write_metrics_csv, write_probe_csv)
 
+from conftest import ref_breakdown
+
 CLUSTER25 = np.array([
     66.955, 84.374, 77.655, 82.118, 63.668, 89.075, 78.427, 66.672, 75.417,
     84.741, 73.344, 81.707, 74.927, 70.330, 77.791, 86.545, 69.269, 82.512,
     60.858, 88.094, 71.236, 79.083, 64.553, 76.509, 72.900])
+W49 = 40.0 + (np.arange(49) * 37 % 101) * 1.5
 
 
 # -- metrics ------------------------------------------------------------------
@@ -153,6 +157,10 @@ def test_probe_unknown_strategy():
     with pytest.raises(ValueError):
         max_bias_probe(CLUSTER25, 1, strategies=("sideways",),
                        random_trials=0)
+    # also when no replacement would use it
+    with pytest.raises(ValueError):
+        max_bias_probe(CLUSTER25, 0, strategies=("all_plus", "sideways"),
+                       random_trials=0)
 
 
 def test_untrimmed_center_replacement_breaks_estimate():
@@ -209,7 +217,58 @@ def test_probe_report_to_dict():
     json.dumps(d)  # plain types only
 
 
+# frozen reports: auto g, trim 0.15, seed 7; default strategies with 64
+# random trials, or "split" alone without trials
+FROZEN_CLEAN = {"CLUSTER25": (74.95022160094229, 11.787999999999997),
+                "W49": (108.87912475356735, 76.5)}
+FROZEN_PROBES = [
+    # window, r, split alone, worst_bias, bound
+    ("CLUSTER25", 0, False, 0.0, None),
+    ("CLUSTER25", 0, True, 0.0, None),
+    ("CLUSTER25", 1, False, 1.2275858754157412, 290.61170138893317),
+    ("CLUSTER25", 1, True, 0.604609139964225, 290.61170138893317),
+    ("CLUSTER25", 3, False, 3.7853936914223, 290.61170138893317),
+    ("CLUSTER25", 3, True, 0.870918246803555, 290.61170138893317),
+    ("CLUSTER25", 24, False, 1000000074.9502217, None),
+    ("CLUSTER25", 24, True, 3.5053566054293555, None),
+    ("W49", 0, False, 0.0, None),
+    ("W49", 0, True, 0.0, None),
+    ("W49", 1, False, 21.27080031823833, 2101.8430847687905),
+    ("W49", 1, True, 6.24493647153426, 2101.8430847687905),
+    ("W49", 3, False, 24.63613879290601, 2101.8430847687905),
+    ("W49", 3, True, 6.24493647153426, 2101.8430847687905),
+    ("W49", 48, False, 1000000108.8791248, None),
+    ("W49", 48, True, 52.0565423880082, None),
+]
+
+
+@pytest.mark.parametrize("window, r, split, worst, bound", FROZEN_PROBES)
+def test_probe_reports_frozen(window, r, split, worst, bound):
+    values = {"CLUSTER25": CLUSTER25, "W49": W49}[window]
+    kw = {"strategies": ("split",), "random_trials": 0} if split else {}
+    rep = max_bias_probe(values, r, SmootherParams(), seed=7, **kw)
+    clean, g = FROZEN_CLEAN[window]
+    assert rep.to_dict() == {
+        "r": r, "worst_bias": worst, "bound": bound, "violated": False,
+        "bound_violations": 0, "estimate_clean": clean, "bandwidth": g,
+        "magnitudes": list(DEFAULT_MAGNITUDES),
+        "strategies": list(kw.get("strategies", DEFAULT_STRATEGIES)),
+        "random_trials": kw.get("random_trials", 64)}
+
+
 # -- breakdown ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", [3, 5, 7])
+def test_breakdown_matches_escalation(rng, side):
+    # one probe at n - 1 answers what escalating r = 1, 2, ... answers
+    for trim in (0.0, 0.15, 0.3):
+        for g in (None, 20.0):
+            for mags in (DEFAULT_MAGNITUDES, (50.0, 1e4)):
+                win = rng.uniform(0.0, 255.0, side * side)
+                params = SmootherParams(trim_fraction=trim, bandwidth=g)
+                assert (breakdown_estimate(win, params, mags)
+                        == ref_breakdown(win, params, mags))
 
 
 def test_breakdown_untrimmed_is_one_replacement():
