@@ -19,7 +19,9 @@ breakdown fraction.
 Each case is a row of a `replaced` mask over the window positions,
 ranked once by centrality, and of replacement values.  The probe at r
 holds every fixed case of the probes at smaller r, so
-`breakdown_estimate` answers from one probe at r = n - 1.
+`breakdown_estimate` estimates each replacement count once, in doubling
+blocks, and stops at the first block that breaks.  An unknown strategy
+raises ValueError at any r, also r = 0.
 """
 
 from __future__ import annotations
@@ -160,16 +162,18 @@ def _window_side(n: int) -> int:
     return side
 
 
-# name -> (spares the center, sign at even / odd pool rank, relative): a
-# replaced value is sign * magnitude, plus the clean estimate if relative
-_STRATEGIES = {
-    "all_plus": (1, 1.0, 1.0, 0),
-    "all_minus": (1, -1.0, -1.0, 0),
-    "center": (0, 1.0, 1.0, 0),
-    "split": (1, 1.0, -1.0, 0),
-    "mode_plus": (1, 1.0, 1.0, 1),
-    "mode_minus": (1, -1.0, -1.0, 1),
+# name -> (sign at even pool rank, sign at odd pool rank): a replaced
+# value is sign * magnitude
+_STRATEGY_SIGNS = {
+    "all_plus": (1.0, 1.0),
+    "all_minus": (-1.0, -1.0),
+    "center": (1.0, 1.0),
+    "split": (1.0, -1.0),
+    "mode_plus": (1.0, 1.0),
+    "mode_minus": (-1.0, -1.0),
 }
+# strategies whose values are offset by the clean estimate
+_RELATIVE = ("mode_plus", "mode_minus")
 
 
 def _probe_bandwidth(values: np.ndarray, params: SmootherParams) -> float:
@@ -181,34 +185,46 @@ def _probe_bandwidth(values: np.ndarray, params: SmootherParams) -> float:
 
 def _probe_stack(vals: np.ndarray, r: int, params: SmootherParams,
                  magnitudes: tuple[float, ...], strategies: tuple[str, ...],
-                 random_trials: int, seed: int):
-    """(g, clean estimate, contaminated, replaced, estimates) of the probe
-    at r; each row of the stack is estimated on its own."""
+                 random_trials: int, seed: int, first: int = 1):
+    """(g, clean estimate, contaminated, replaced, estimates) of the fixed
+    cases with first .. r replacements and the random trials at r; each
+    row of the stack is estimated on its own."""
     n = vals.size
     side = _window_side(n)
     params = replace(params, radius_px=side // 2)
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < window size")
     for name in strategies:
-        if name not in _STRATEGIES:
+        if name not in _STRATEGY_SIGNS:
             raise ValueError(f"unknown strategy {name!r}")
-    table = np.array([_STRATEGIES[name] for name in strategies], dtype=float)
-    spare, even, odd, rel = table.reshape(-1, 4).T[:, :, None, None]
     g = _probe_bandwidth(vals, params)
     # the clean window rides as row 0 of the stacked estimate call below,
     # unless a strategy places its values relative to the clean estimate
-    relative = bool(rel.any())
-    clean_est = window_mode_estimate(vals, params, g) if relative else 0.0
+    offset = np.array([name in _RELATIVE for name in strategies], dtype=bool)
+    relative = bool(offset.any())
+    clean_est = window_mode_estimate(vals, params, g) if relative else None
 
     # each position's rank in (Chebyshev distance from center, row, col)
-    # order; case (count k, magnitude) replaces pool ranks 0 .. k - 1
+    # order, and its rank in each strategy's pool: (strategies, n)
     ring = abs(np.arange(side) - side // 2)
     order = np.argsort(np.maximum.outer(ring, ring), axis=None, kind="stable")
-    pool = np.argsort(order) - spare
-    fixed = (0 <= pool) & (pool < np.arange(1, r + 1)[:, None])
-    value = (np.where(rel > 0, clean_est, 0.0) + np.where(pool % 2, odd, even)
+    # only the "center" strategy replaces the center; the others spare it
+    spares = [name != "center" for name in strategies]
+    pool = np.argsort(order) - np.array(spares, dtype=int)[:, None]
+    # case (strategy, count k, magnitude) replaces pool ranks 0 .. k - 1;
+    # the fixed cases are the rows of a (strategies, counts, magnitudes, n)
+    # stack, in that order
+    counts = np.arange(first, r + 1)
+    # (strategies, counts, n)
+    fixed = (0 <= pool[:, None]) & (pool[:, None] < counts[:, None])
+    signs = np.array([_STRATEGY_SIGNS[name] for name in strategies])
+    even, odd = signs.reshape(-1, 2).T[:, :, None]         # (strategies, 1)
+    # (strategies, magnitudes, n)
+    value = (np.where(pool % 2, odd, even)[:, None]
              * np.asarray(magnitudes, dtype=float)[:, None])
-    shape = (len(strategies), r, len(magnitudes), n)
+    if relative:
+        value[offset] += clean_est
+    shape = (len(strategies), counts.size, len(magnitudes), n)
     masks = [np.broadcast_to(fixed[:, :, None], shape).reshape(-1, n)]
     repl = [np.broadcast_to(value[:, None], shape).reshape(-1, n)]
     if r > 0 and random_trials > 0:
@@ -284,17 +300,31 @@ def breakdown_estimate(values, params: SmootherParams = SmootherParams(),
                        ) -> float:
     """Smallest replacement fraction that drives the estimate far away.
 
-    The fewest replacements, over n, among the cases of the probe at
-    n - 1 (default strategies, no random trials) whose bias exceeds
-    BREAKDOWN_RANGE_FACTOR times the clean value range; 1.0 if none does.
+    The smallest r whose probe (default strategies, no random trials)
+    has a worst bias above BREAKDOWN_RANGE_FACTOR times the clean value
+    range, over n; 1.0 if no r < n does.  The probe at r holds the fixed
+    cases of every smaller count, so the counts are estimated once each,
+    in blocks 1, 2-3, 4-7, ..., stopping at the first block that breaks.
+    A NaN bias makes every probe from its count on report NaN, which
+    never exceeds the threshold.
     """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
-    _, clean_est, _, replaced, est = _probe_stack(
-        vals, n - 1, params, magnitudes, DEFAULT_STRATEGIES, 0, 0)
+    _window_side(n)
     threshold = BREAKDOWN_RANGE_FACTOR * float(vals.max() - vals.min())
-    broken = replaced.sum(axis=1)[np.abs(est - clean_est) > threshold]
-    return int(broken.min()) / n if broken.size else 1.0
+    first = 1
+    while first < n:
+        last = min(2 * first - 1, n - 1)
+        _, clean_est, _, replaced, est = _probe_stack(
+            vals, last, params, magnitudes, DEFAULT_STRATEGIES, 0, 0, first)
+        bias = np.abs(est - clean_est)
+        count = replaced.sum(axis=1)
+        stop = count[(bias > threshold) | np.isnan(bias)]
+        if stop.size:
+            k = stop.min()
+            return 1.0 if np.isnan(bias[count == k]).any() else int(k) / n
+        first = last + 1
+    return 1.0
 
 
 # -- report serialization ----------------------------------------------------

@@ -205,18 +205,88 @@ def ref_smooth(px, radius_px, g, trim_fraction, border="clip"):
     return out
 
 
+def ref_positions_by_centrality(side):
+    """Flat indices sorted by (Chebyshev distance from center, row, col)."""
+    c = side // 2
+    order = sorted((max(abs(i - c), abs(j - c)), i, j)
+                   for i in range(side) for j in range(side))
+    return [i * side + j for _, i, j in order]
+
+
+def ref_strategy_values(name, count, magnitude, clean_mode):
+    """The values a fixed probe strategy writes into its `count` positions."""
+    if name == "all_plus" or name == "center":
+        return np.full(count, magnitude)
+    if name == "all_minus":
+        return np.full(count, -magnitude)
+    if name == "split":
+        vals = np.full(count, magnitude)
+        vals[1::2] = -magnitude
+        return vals
+    if name == "mode_plus":
+        return np.full(count, clean_mode + magnitude)
+    if name == "mode_minus":
+        return np.full(count, clean_mode - magnitude)
+    raise ValueError(f"unknown strategy {name!r}")
+
+
+def ref_probe_cases(vals, r, strategies, magnitudes, clean_mode,
+                    random_trials=0, seed=0):
+    """(replaced, contaminated) rows of the probe at r, one case tuple at
+    a time: every strategy's cases for counts 1..r in (strategy, count,
+    magnitude) order, positions nearest the centre first (sparing the
+    centre unless the strategy is "center"), then the seeded random
+    trials at exactly r."""
+    from numpy.random import Generator, Philox
+
+    from tmsmooth.eval_robust import DEFAULT_MAGNITUDES
+    from tmsmooth.scene_noise import _rekey
+    vals = np.asarray(vals, dtype=float).ravel()
+    n = vals.size
+    order = ref_positions_by_centrality(math.isqrt(n))
+    cases = []
+    for name in strategies:
+        pool = order if name == "center" else order[1:]
+        for k in range(1, min(r, len(pool)) + 1):
+            for mag in magnitudes:
+                cases.append((pool[:k],
+                              ref_strategy_values(name, k, mag, clean_mode)))
+    if r > 0 and random_trials > 0:
+        vmax = max(magnitudes) if magnitudes else DEFAULT_MAGNITUDES[-1]
+        gen = Generator(Philox(0))
+        for trial in range(random_trials):
+            _rekey(gen, [seed, trial])
+            positions = gen.choice(n, size=r, replace=False).tolist()
+            cases.append((positions, gen.uniform(-vmax, vmax, size=r)))
+    contaminated = np.tile(vals, (len(cases), 1))
+    replaced = np.zeros(contaminated.shape, dtype=bool)
+    for row, (positions, repl) in enumerate(cases):
+        contaminated[row, positions] = repl
+        replaced[row, positions] = True
+    return replaced, contaminated
+
+
 def ref_breakdown(values, params, magnitudes):
     """Breakdown fraction by escalation: probe r = 1, 2, ... (default
-    strategies, no random trials) until the worst bias exceeds
-    BREAKDOWN_RANGE_FACTOR times the clean range; 1.0 if no r does."""
-    from tmsmooth.eval_robust import BREAKDOWN_RANGE_FACTOR, max_bias_probe
+    strategies, no random trials, cases from ref_probe_cases) until the
+    worst bias exceeds BREAKDOWN_RANGE_FACTOR times the clean range; 1.0
+    if no r does.  A NaN bias makes the worst bias NaN."""
+    from dataclasses import replace
+
+    from tmsmooth.eval_robust import (BREAKDOWN_RANGE_FACTOR,
+                                      DEFAULT_STRATEGIES, _probe_bandwidth)
+    from tmsmooth.smoother import window_mode_estimate
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
+    params = replace(params, radius_px=math.isqrt(n) // 2)
+    g = _probe_bandwidth(vals, params)
+    clean = window_mode_estimate(vals, params, g)
     threshold = BREAKDOWN_RANGE_FACTOR * float(vals.max() - vals.min())
     for r in range(1, n):
-        report = max_bias_probe(vals, r, params, magnitudes=magnitudes,
-                                random_trials=0)
-        if report.worst_bias > threshold:
+        _, contaminated = ref_probe_cases(vals, r, DEFAULT_STRATEGIES,
+                                          magnitudes, clean)
+        est = window_mode_estimate(contaminated, params, g)
+        if np.abs(est - clean).max(initial=0.0) > threshold:
             return r / n
     return 1.0
 

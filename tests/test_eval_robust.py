@@ -11,12 +11,13 @@ from tmsmooth.grid_image import Image
 from tmsmooth.smoother import SmootherParams, window_mode_estimate
 from tmsmooth.eval_robust import (BREAKDOWN_RANGE_FACTOR, DEFAULT_MAGNITUDES,
                                   DEFAULT_STRATEGIES, BiasProbeReport,
-                                  MetricsReport, breakdown_estimate,
-                                  edge_band, max_bias_probe, metrics,
-                                  tm_support_bound, write_json_report,
-                                  write_metrics_csv, write_probe_csv)
+                                  MetricsReport, _probe_stack,
+                                  breakdown_estimate, edge_band,
+                                  max_bias_probe, metrics, tm_support_bound,
+                                  write_json_report, write_metrics_csv,
+                                  write_probe_csv)
 
-from conftest import ref_breakdown
+from conftest import ref_breakdown, ref_probe_cases
 
 CLUSTER25 = np.array([
     66.955, 84.374, 77.655, 82.118, 63.668, 89.075, 78.427, 66.672, 75.417,
@@ -217,6 +218,29 @@ def test_probe_report_to_dict():
     json.dumps(d)  # plain types only
 
 
+@pytest.mark.parametrize("side", [3, 5, 7])
+def test_probe_stack_matches_case_tuples(rng, side):
+    # the mask-and-values stack holds, row for row and bit for bit, the
+    # cases the one-tuple-at-a-time builder writes
+    n = side * side
+    vals = rng.uniform(0.0, 255.0, n)
+    params = SmootherParams(radius_px=side // 2)
+    strategy_sets = ([(name,) for name in DEFAULT_STRATEGIES]
+                     + [DEFAULT_STRATEGIES, ()])
+    for strategies in strategy_sets:
+        for r in (0, 1, n - 1):
+            for mags in ((), (5.0,), (1e3, 7.5)):
+                for trials in (0, 3):
+                    g, clean, contaminated, replaced, _ = _probe_stack(
+                        vals, r, params, mags, strategies, trials, side)
+                    assert clean == window_mode_estimate(vals, params, g)
+                    ref_replaced, ref_contaminated = ref_probe_cases(
+                        vals, r, strategies, mags, clean, trials, side)
+                    assert np.array_equal(replaced, ref_replaced)
+                    assert (contaminated.tobytes()
+                            == ref_contaminated.tobytes())
+
+
 # frozen reports: auto g, trim 0.15, seed 7; default strategies with 64
 # random trials, or "split" alone without trials
 FROZEN_CLEAN = {"CLUSTER25": (74.95022160094229, 11.787999999999997),
@@ -261,14 +285,41 @@ def test_probe_reports_frozen(window, r, split, worst, bound):
 
 @pytest.mark.parametrize("side", [3, 5, 7])
 def test_breakdown_matches_escalation(rng, side):
-    # one probe at n - 1 answers what escalating r = 1, 2, ... answers
-    for trim in (0.0, 0.15, 0.3):
+    # estimating each count once, in blocks 1, 2-3, 4-7, ..., answers
+    # what escalating r = 1, 2, ... answers; trim 0.1 breaks 5x5 windows
+    # at 3, the end of a block
+    for trim in (0.0, 0.1, 0.15, 0.3):
         for g in (None, 20.0):
             for mags in (DEFAULT_MAGNITUDES, (50.0, 1e4)):
                 win = rng.uniform(0.0, 255.0, side * side)
                 params = SmootherParams(trim_fraction=trim, bandwidth=g)
                 assert (breakdown_estimate(win, params, mags)
                         == ref_breakdown(win, params, mags))
+
+
+# 9x9 at trim 0.1 breaks at 9, the start of a block
+@pytest.mark.parametrize("side, trim", [(9, 0.1), (11, 0.15), (15, 0.0)])
+def test_breakdown_matches_escalation_wide(rng, side, trim):
+    win = rng.uniform(0.0, 255.0, side * side)
+    params = SmootherParams(trim_fraction=trim)
+    expected = ref_breakdown(win, params, DEFAULT_MAGNITUDES)
+    assert breakdown_estimate(win, params) == expected
+    if trim == 0.0:
+        assert expected == 1.0 / (side * side)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_breakdown_nan_bias_hides_larger_counts():
+    # a NaN magnitude gives NaN estimates from one replacement on; the
+    # escalation's worst bias is then NaN at every r, which never exceeds
+    # the threshold, though the finite magnitude alone breaks the window
+    for trim, broken in ((0.0, 1), (0.15, 4)):
+        params = SmootherParams(radius_px=2, trim_fraction=trim,
+                                bandwidth=20.0)
+        assert breakdown_estimate(CLUSTER25, params, (1e5,)) == broken / 25
+        for mags in ((1e5, float("nan")), (float("nan"), 1e5)):
+            assert ref_breakdown(CLUSTER25, params, mags) == 1.0
+            assert breakdown_estimate(CLUSTER25, params, mags) == 1.0
 
 
 def test_breakdown_untrimmed_is_one_replacement():
