@@ -2,7 +2,10 @@
 
 The reference code here recomputes everything from the mathematical
 definitions with plain numpy (no package internals), so the unit tests
-compare two structurally different implementations.
+compare two structurally different implementations.  The probe
+references are the exception: they build the contaminated windows one
+case at a time, but reuse the package's seeded draws, bandwidth rule
+and window estimator.
 """
 
 from __future__ import annotations
