@@ -11,9 +11,8 @@ from .eval_robust import (BiasProbeReport, MetricsReport, breakdown_estimate,
                           edge_band, max_bias_probe, metrics,
                           tm_support_bound, write_metrics_csv,
                           write_probe_csv)
-from .grid_image import (GridGeometry, Image, PgmParseError, design_point,
-                         parse_pgm, pgm_bytes, quantize, read_pgm, window_at,
-                         write_pgm)
+from .grid_image import (GridGeometry, Image, PgmParseError, parse_pgm,
+                         pgm_bytes, quantize, read_pgm, window_at, write_pgm)
 from .kernels import k2, l0
 from .lts_trim import lts_center, trim_count, trim_values
 from .mode_density import (DegenerateFieldError, DensityField, ModeResult,
@@ -31,8 +30,8 @@ __all__ = [
     "BiasProbeReport", "MetricsReport", "breakdown_estimate", "edge_band",
     "max_bias_probe", "metrics", "tm_support_bound", "write_metrics_csv",
     "write_probe_csv",
-    "GridGeometry", "Image", "PgmParseError", "design_point", "parse_pgm",
-    "pgm_bytes", "quantize", "read_pgm", "window_at", "write_pgm",
+    "GridGeometry", "Image", "PgmParseError", "parse_pgm", "pgm_bytes",
+    "quantize", "read_pgm", "window_at", "write_pgm",
     "k2", "l0",
     "lts_center", "trim_count", "trim_values",
     "DegenerateFieldError", "DensityField", "ModeResult", "nearest_mode",

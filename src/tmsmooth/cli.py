@@ -9,6 +9,7 @@ and JSON reports echo the resolved estimator parameters.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -49,8 +50,8 @@ def _parse_bandwidth(text: str) -> float | None:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--g must be 'auto' or a positive number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError("--g must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("--g must be positive and finite")
     return value
 
 
@@ -78,8 +79,9 @@ def _parse_magnitudes(text: str) -> tuple[float, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--magnitudes must be comma-separated numbers, got {text!r}")
-    if not mags or any(m <= 0 for m in mags):
-        raise argparse.ArgumentTypeError("--magnitudes must be positive")
+    if not all(0 < m < math.inf for m in mags):
+        raise argparse.ArgumentTypeError(
+            "--magnitudes must be positive and finite")
     return mags
 
 
@@ -183,12 +185,12 @@ def cmd_probe(ns: argparse.Namespace) -> int:
     col = ns.col if ns.col is not None else img.width // 2
     if not (0 <= row < img.height and 0 <= col < img.width):
         raise ValueError(f"probe center ({row}, {col}) is outside the image")
-    win = window_at(img, row, col, ns.radius, border="replicate")
+    values = window_at(img, row, col, ns.radius, border="replicate")
     params = SmootherParams(radius_px=ns.radius, bandwidth=ns.g,
                             trim_fraction=ns.l)
-    n = win.values.size
+    n = values.size
     r = ns.r if ns.r is not None else max(trim_count(n, ns.l), 1)
-    report = max_bias_probe(win.values, r, params,
+    report = max_bias_probe(values, r, params,
                             magnitudes=ns.magnitudes,
                             random_trials=ns.trials, seed=ns.seed)
     bound_txt = "n/a" if report.bound is None else f"{report.bound:.6g}"
@@ -200,7 +202,7 @@ def cmd_probe(ns: argparse.Namespace) -> int:
     payload = {"row": row, "col": col, "radius": ns.radius,
                "trim_fraction": ns.l, **report.to_dict()}
     if ns.breakdown:
-        frac = breakdown_estimate(win.values, params,
+        frac = breakdown_estimate(values, params,
                                   magnitudes=ns.magnitudes)
         payload["breakdown_fraction"] = frac
         print(f"probe: breakdown fraction ~ {frac:.6g} "

@@ -229,6 +229,11 @@ def _probe_stack(vals: np.ndarray, r: int, params: SmootherParams,
     repl = [np.broadcast_to(value[:, None], shape).reshape(-1, n)]
     if r > 0 and random_trials > 0:
         vmax = max(magnitudes, default=DEFAULT_MAGNITUDES[-1])
+        if not np.isfinite(2.0 * vmax):
+            raise ValueError(
+                f"random trials draw values from (-{vmax:g}, {vmax:g}), a "
+                "range wider than the float maximum; pass smaller "
+                "magnitudes or no random trials")
         gen = Generator(Philox(0))
         masks.append(np.zeros((random_trials, n), dtype=bool))
         repl.append(np.zeros((random_trials, n)))

@@ -1,10 +1,12 @@
-"""Image container, design-point grid geometry, windows, and PGM I/O.
+"""Image container, design-grid geometry, single windows, and PGM I/O.
 
 Pixels live on the regular design grid: pixel (i, j) of an n_rows x n_cols
 image (0-based row-major indices) sits at ((i + 1/2) / n_rows,
-(j + 1/2) / n_cols) in the unit square.  Local windows collect every
-in-bounds pixel within a Chebyshev radius measured in pixels, together
-with its normalised spatial offset from the window centre.
+(j + 1/2) / n_cols) in the unit square; scene_noise.rasterize samples
+scenes there.  window_at returns the values of one pixel's window, every
+pixel within a Chebyshev radius measured in pixels, in row-major order.
+The smoother reads whole row bands of windows at once and owns the spatial
+weights of the window lattice (smoother._bands and _lattice_kappa).
 
 PGM support covers the plain (P2) and raw 8-bit (P5) variants with
 maxval <= 255.  Parse failures raise PgmParseError carrying the byte
@@ -13,7 +15,7 @@ offset of the offending token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,45 +70,15 @@ class GridGeometry:
             raise ValueError("grid dimensions must be >= 1")
 
 
-def design_point(i: int, j: int, geom: GridGeometry) -> tuple[float, float]:
-    """Design-grid coordinates of pixel (i, j), 0-based indices."""
-    if not (0 <= i < geom.n_rows and 0 <= j < geom.n_cols):
-        raise ValueError(f"pixel ({i}, {j}) outside {geom.n_rows}x{geom.n_cols} grid")
-    return ((i + 0.5) / geom.n_rows, (j + 0.5) / geom.n_cols)
-
-
-@dataclass(frozen=True)
-class Window:
-    """Local pixel window around a centre pixel.
-
-    Entries are ordered by (row, column).  `rows`/`cols` hold the entry
-    indices (for replicate padding these are the conceptual, possibly
-    out-of-bounds positions), `values` the intensities, and `offsets` the
-    spatial offsets (centre - entry) / h, one row per entry, each component
-    in [-1, 1].  `h` is the per-axis spatial bandwidth radius_px / n.
-    """
-
-    center: tuple[int, int]
-    radius_px: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    offsets: np.ndarray
-    h: tuple[float, float]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def center_value(self) -> float:
-        i0, j0 = self.center
-        hit = (self.rows == i0) & (self.cols == j0)
-        return float(self.values[hit][0])
+def _check_border(border: str) -> None:
+    if border not in ("clip", "replicate"):
+        raise ValueError(f"unknown border mode {border!r}")
 
 
 def window_at(img: Image, i0: int, j0: int, radius_px: int,
-              border: str = "clip") -> Window:
-    """Window of Chebyshev radius `radius_px` centred at pixel (i0, j0).
+              border: str = "clip") -> np.ndarray:
+    """Values of the window of Chebyshev radius `radius_px` centred at
+    pixel (i0, j0), in row-major order.
 
     border="clip" keeps only in-bounds entries (windows shrink at the
     image edge); border="replicate" always returns the full
@@ -118,34 +90,14 @@ def window_at(img: Image, i0: int, j0: int, radius_px: int,
         raise ValueError(f"centre ({i0}, {j0}) outside {H}x{W} image")
     if radius_px < 0:
         raise ValueError("radius_px must be >= 0")
-    if border not in ("clip", "replicate"):
-        raise ValueError(f"unknown border mode {border!r}")
+    _check_border(border)
     w = radius_px
     if border == "clip":
-        r_lo, r_hi = max(0, i0 - w), min(H - 1, i0 + w)
-        c_lo, c_hi = max(0, j0 - w), min(W - 1, j0 + w)
-        rows_1d = np.arange(r_lo, r_hi + 1)
-        cols_1d = np.arange(c_lo, c_hi + 1)
-        values = img.pixels[r_lo:r_hi + 1, c_lo:c_hi + 1].ravel()
-        src_rows_1d, src_cols_1d = rows_1d, cols_1d
-    else:
-        rows_1d = np.arange(i0 - w, i0 + w + 1)
-        cols_1d = np.arange(j0 - w, j0 + w + 1)
-        src_rows_1d = np.clip(rows_1d, 0, H - 1)
-        src_cols_1d = np.clip(cols_1d, 0, W - 1)
-        values = img.pixels[np.ix_(src_rows_1d, src_cols_1d)].ravel()
-    rows = np.repeat(rows_1d, len(cols_1d))
-    cols = np.tile(cols_1d, len(rows_1d))
-    if w > 0:
-        off_r = (i0 - rows) / w
-        off_c = (j0 - cols) / w
-    else:
-        off_r = np.zeros(1)
-        off_c = np.zeros(1)
-    offsets = np.column_stack([off_r, off_c])
-    return Window(center=(i0, j0), radius_px=w, rows=rows, cols=cols,
-                  values=values, offsets=offsets,
-                  h=(w / H, w / W))
+        return img.pixels[max(0, i0 - w):i0 + w + 1,
+                          max(0, j0 - w):j0 + w + 1].ravel()
+    rows = np.clip(np.arange(i0 - w, i0 + w + 1), 0, H - 1)
+    cols = np.clip(np.arange(j0 - w, j0 + w + 1), 0, W - 1)
+    return img.pixels[np.ix_(rows, cols)].ravel()
 
 
 # --- PGM ------------------------------------------------------------------

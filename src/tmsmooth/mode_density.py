@@ -9,8 +9,11 @@ The kernel of an entry y_i is cut at the points y_i - g and y_i + g, taken
 as computed in floating point, and it is active exactly where
 fl(y_i - g) < y < fl(y_i + g).  The field, the search policy and the walk
 all decide membership by this one rule, so F is 0 at both ends of its
-support and positive just inside them.  F is smooth only between
-consecutive cut points.  On such a segment every active term of F'' is
+support and positive just inside them.  Once g is below half an ulp of
+y_i, fl(y_i - g) = y_i = fl(y_i + g) and the kernel is active nowhere: it
+carries no kernel, like an entry of weight 0, and DensityField and the
+smoother leave it out.  F is smooth only between consecutive cut points.
+On such a segment every active term of F'' is
 kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is strictly concave
 there and F' strictly decreasing.  Moving in a direction d (+1 or -1), a
 kernel enters at v = -d or leaves at v = +d, and either event makes d*F'
@@ -25,6 +28,14 @@ search evaluates d*F' at the cut points ahead in order, skipping those a
 curvature bound clears (below), then solves the one bracketed root by
 Newton, bisecting whenever a Newton step leaves the bracket.  There is no
 other fallback.
+
+Every search ends.  The walk stops a row at the first checked cut where
+d*F' is not > 0.  No collapsed kernel can put a start past a row's last
+cut, and every cut checked past that one is the NaN padding of the row's
+cut array (or the last cut again), so the row stops there at the latest.
+A NaN from terms that overflow (values near the float maximum) stops a
+row in the same way; such a row, like one whose root solver hits the
+step cap, is reported as not converged.
 
 Search policy, given F = field value and F' its derivative at the start:
 
@@ -86,7 +97,7 @@ DEFAULT_MAX_ITER = 200
 
 
 class DegenerateFieldError(ValueError):
-    """No retained entry carries positive spatial weight."""
+    """No retained entry carries a kernel of positive spatial weight."""
 
 
 @dataclass
@@ -94,8 +105,9 @@ class DensityField:
     """Intensity density built from (value, weight) pairs.
 
     `retained` is a boolean mask over the entries; None keeps all of them.
-    Entries with zero spatial weight contribute nothing and are excluded
-    from the support hull.
+    Entries with zero spatial weight, or whose kernel collapses (g below
+    half an ulp of the value), contribute nothing and are excluded from
+    the support hull.
     """
 
     values: np.ndarray
@@ -128,10 +140,10 @@ class DensityField:
             mask = np.asarray(self.retained, dtype=bool).ravel()
             if mask.size != vals.size:
                 raise ValueError("retained mask length mismatch")
-        active = mask & (wts > 0)
+        active = mask & (wts > 0) & (vals - self.g < vals + self.g)
         if not np.any(active):
             raise DegenerateFieldError(
-                "no retained entry has positive spatial weight")
+                "no retained entry carries a kernel of positive weight")
         order = np.argsort(vals[active], kind="stable")
         self._ys = vals[active][order]
         self._ks = wts[active][order]
@@ -242,10 +254,11 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     while at.size:
         # each pass checks `span` consecutive cuts of every row in the set,
         # from the first one not cleared.  The segment that ends at cut x
-        # holds the kernels entered and not yet left just below x.  The
-        # last cut of a support component ends it with F' < 0 there, so
-        # every row stops (indices past the last cut repeat it).  A row
-        # stops at the segment [lo, hi] that holds its root
+        # holds the kernels entered and not yet left just below x.  A row
+        # stops at the first x where F' is not > 0 (a NaN stops it too),
+        # the segment [lo, hi] that holds its root; the last cut of a
+        # support component ends it with F' < 0 there, and indices past a
+        # row's last cut read its NaN padding or repeat the array's last
         span = min(last + 1, n // at.size)
         j = np.maximum(nxt, np.count_nonzero(cuts < reach[:, None], axis=1))
         idx = np.minimum(j[:, None] + np.arange(span), last)
@@ -253,7 +266,7 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
         m = enter[:, None] < x[..., None]
         m &= x[..., None] <= leave[:, None]
         p = _seg_derivs(x, y[:, None], k[:, None], m, g, False)[0]
-        down = p <= 0.0
+        down = ~(p > 0.0)
         stop = np.flatnonzero(live & down.any(axis=1))
         h = down[stop].argmax(axis=1)
         hit, row = idx[stop, h], at[stop]

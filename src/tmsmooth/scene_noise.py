@@ -18,7 +18,7 @@ seed and its own index, independent of evaluation order or image size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox

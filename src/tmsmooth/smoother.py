@@ -40,7 +40,7 @@ from . import lts_trim, mode_density
 # window_at, trim_values, DensityField and nearest_mode are not called here;
 # they stay importable from this module for code that rebinds them on it,
 # such as the traced benchmark run (perfbench/spans.py)
-from .grid_image import Image, window_at  # noqa: F401
+from .grid_image import Image, _check_border, window_at  # noqa: F401
 from .kernels import k2
 from .lts_trim import trim_count, trim_values  # noqa: F401
 from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,  # noqa: F401
@@ -74,12 +74,16 @@ class SmootherParams:
     def __post_init__(self):
         if self.radius_px < 1:
             raise ValueError("radius_px must be >= 1")
-        if self.bandwidth is not None and not (self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive (or None for auto)")
+        if self.bandwidth is not None:
+            _check_bandwidth(self.bandwidth)
         if not (0.0 <= self.trim_fraction < 0.5):
             raise ValueError("trim_fraction must be in [0, 0.5)")
-        if self.border not in ("clip", "replicate"):
-            raise ValueError(f"unknown border mode {self.border!r}")
+        _check_border(self.border)
+
+
+def _check_bandwidth(g: float) -> None:
+    if not 0 < g < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {g!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,9 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
     Returns (modes, trimmed entries, median fallbacks, non-converged).
     Windows are trimmed in groups of equal entry count n; the density of
     every row is then built over the positive-weight lattice slots, with
-    weight 0 where the slot is off the image or trimmed.
+    weight 0 where the slot is off the image or trimmed, or where its
+    kernel collapses: once g is below half an ulp of y, fl(y - g) = y =
+    fl(y + g) and the kernel is active nowhere (see mode_density).
     """
     valid = ~np.isnan(win)
     keep = valid.copy()
@@ -192,8 +198,10 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
             keep[rows] = sub
             trimmed += r * rows.size
     inner = kappa > 0.0
-    ks = np.where(keep[:, inner], kappa[inner], 0.0)
-    ys = np.where(keep[:, inner], win[:, inner], 0.0)
+    ys = win[:, inner]
+    on = keep[:, inner] & (ys - g < ys + g)
+    ks = np.where(on, kappa[inner], 0.0)
+    ys = np.where(on, ys, 0.0)
     start = win[:, win.shape[1] // 2]
     fb = ~np.any(ks > 0.0, axis=1)
     modes = np.empty(len(win))
@@ -243,6 +251,7 @@ def window_mode_estimate(values, params: SmootherParams, bandwidth: float):
     treated as interior: spatial weights follow the product kernel on the
     (2w+1)^2 offset lattice.  The starting point is the centre entry.
     """
+    _check_bandwidth(bandwidth)
     vals = np.asarray(values, dtype=float)
     w = params.radius_px
     k = (2 * w + 1) ** 2
@@ -260,6 +269,7 @@ def median_smooth(img: Image, radius_px: int = 2,
     """Window median baseline (lower middle value for even counts)."""
     if radius_px < 1:
         raise ValueError("radius_px must be >= 1")
+    _check_border(border)
     out = np.empty(img.pixels.size)
     for p0, win in _bands(img, radius_px, border):
         out[p0:p0 + len(win)] = _quantiles(win, 0.5)[0]

@@ -205,6 +205,27 @@ def test_constant_image_auto_bandwidth_is_degenerate(tmp_path, capsys):
                  "--out", str(tmp_path / "o.pgm")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("g", ["inf", "nan", "0"])
+def test_nonpositive_or_nonfinite_bandwidth_is_usage_error(g, capsys):
+    assert main(["smooth", "in.pgm", "--g", g,
+                 "--out", "o.pgm"]) == EXIT_USAGE
+    assert "--g must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mags", ["inf", "nan", "1e3,inf", "-1"])
+def test_nonfinite_magnitudes_are_usage_error(mags, capsys):
+    assert main(["probe", "in.pgm", "--magnitudes", mags]) == EXIT_USAGE
+    assert "--magnitudes must be positive and finite" in (
+        capsys.readouterr().err)
+
+
+def test_probe_trials_at_float_maximum_are_usage_error(tmp_path, capsys):
+    img = tmp_path / "ramp.pgm"
+    write_pgm(Image(np.arange(64, dtype=float).reshape(8, 8)), img)
+    assert main(["probe", str(img), "--magnitudes", "1e308"]) == EXIT_USAGE
+    assert "random trials" in capsys.readouterr().err
+
+
 def test_probe_center_outside_image(tmp_path, scene_file, capsys):
     clean = tmp_path / "c.pgm"
     main(["synth", str(scene_file), "--size", "8", "--out", str(clean)])

@@ -164,6 +164,14 @@ def test_probe_unknown_strategy():
                        random_trials=0)
 
 
+def test_probe_random_trials_need_a_finite_value_range():
+    # trial values are drawn from (-m, m), which overflows past 8.99e307
+    with pytest.raises(ValueError, match="random trials"):
+        max_bias_probe(CLUSTER25, 1, magnitudes=(1e308,), random_trials=1)
+    rep = max_bias_probe(CLUSTER25, 1, magnitudes=(1e308,), random_trials=0)
+    assert rep.r == 1
+
+
 def test_untrimmed_center_replacement_breaks_estimate():
     # replacing only the starting observation parks the untrimmed mode
     # on the replacement's own kernel, however far away it is

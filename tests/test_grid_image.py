@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmsmooth.grid_image import (GridGeometry, Image, PgmParseError,
-                                 design_point, parse_pgm, pgm_bytes,
-                                 quantize, read_pgm, window_at, write_pgm)
+                                 parse_pgm, pgm_bytes, quantize, read_pgm,
+                                 window_at, write_pgm)
+from tmsmooth.scene_noise import SceneSpec, rasterize
+from tmsmooth.smoother import _bands
 
 
-def test_design_point_examples():
-    assert design_point(0, 0, GridGeometry(2, 2)) == (0.25, 0.25)
-    assert design_point(2, 1, GridGeometry(4, 4)) == (0.625, 0.375)
-    assert design_point(0, 0, GridGeometry(1, 1)) == (0.5, 0.5)
-
-
-def test_design_point_bounds():
-    with pytest.raises(ValueError):
-        design_point(4, 0, GridGeometry(4, 4))
-    with pytest.raises(ValueError):
-        design_point(0, -1, GridGeometry(4, 4))
+@pytest.mark.parametrize("n_rows, n_cols", [(1, 1), (2, 2), (4, 4), (3, 7)])
+def test_rasterize_samples_the_design_points(n_rows, n_cols):
+    # with unit gradients the scene value is the design coordinate itself
+    geom = GridGeometry(n_rows, n_cols)
+    x1 = rasterize(SceneSpec(base_gradient=(1.0, 0.0)), geom).pixels
+    x2 = rasterize(SceneSpec(base_gradient=(0.0, 1.0)), geom).pixels
+    i, j = np.indices((n_rows, n_cols))
+    assert np.array_equal(x1, (i + 0.5) / n_rows)
+    assert np.array_equal(x2, (j + 0.5) / n_cols)
 
 
 def test_image_validation():
@@ -35,7 +35,7 @@ def test_image_validation():
 
 def test_window_counts_clip():
     img = Image(np.arange(49, dtype=float).reshape(7, 7))
-    assert len(window_at(img, 3, 3, 2)) == 25
+    assert window_at(img, 3, 3, 2).shape == (25,)
     assert len(window_at(img, 0, 0, 2)) == 9
     assert len(window_at(img, 0, 3, 2)) == 15
     assert len(window_at(img, 6, 6, 1)) == 4
@@ -46,19 +46,30 @@ def test_window_replicate_is_full_and_clamped():
     win = window_at(img, 0, 0, 2, border="replicate")
     assert len(win) == 25
     # corner pixel replicated into the out-of-range quadrant
-    assert win.values[0] == img.pixels[0, 0]
-    assert win.center_value == img.pixels[0, 0]
+    assert win[0] == img.pixels[0, 0]
+    assert win[12] == img.pixels[0, 0]
 
 
 def test_window_offsets_lattice():
     img = Image(np.arange(25, dtype=float).reshape(5, 5))
     win = window_at(img, 2, 2, 2)
-    u1, u2 = win.offsets[:, 0], win.offsets[:, 1]
-    assert sorted(set(u1.tolist())) == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert sorted(set(u2.tolist())) == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert win.center_value == 12.0
+    assert win[12] == 12.0
     # row-major entry order
-    assert win.values[0] == 0.0 and win.values[-1] == 24.0
+    assert win[0] == 0.0 and win[-1] == 24.0
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (1, 5)])
+@pytest.mark.parametrize("radius", range(5))
+@pytest.mark.parametrize("border", ["clip", "replicate"])
+def test_window_matches_band_rows(shape, radius, border):
+    # the single window is the smoother's band row without its NaN slots
+    rng = np.random.default_rng(radius)
+    img = Image(rng.normal(100.0, 30.0, shape))
+    rows = np.concatenate([win for _, win in _bands(img, radius, border)])
+    for p, row in enumerate(rows):
+        expect = row[~np.isnan(row)]
+        got = window_at(img, *divmod(p, shape[1]), radius, border=border)
+        assert np.array_equal(got, expect)
 
 
 def test_quantize_rounds_half_away_from_zero_after_clamp():

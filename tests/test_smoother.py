@@ -38,6 +38,18 @@ def test_params_validation(kwargs):
         SmootherParams(**kwargs)
 
 
+@pytest.mark.parametrize("g", [float("inf"), float("nan")])
+def test_params_reject_nonfinite_bandwidth(g):
+    with pytest.raises(ValueError, match="finite"):
+        SmootherParams(bandwidth=g)
+
+
+@pytest.mark.parametrize("g", [-1.0, 0.0, float("nan"), float("inf")])
+def test_window_estimate_rejects_bad_bandwidth(g):
+    with pytest.raises(ValueError, match="bandwidth"):
+        window_mode_estimate(WINDOW25, SmootherParams(radius_px=2), g)
+
+
 # -- automatic bandwidth ------------------------------------------------------
 
 
@@ -362,3 +374,8 @@ def test_median_smooth_hand_examples():
 def test_median_smooth_rejects_bad_radius():
     with pytest.raises(ValueError):
         median_smooth(Image(np.zeros((3, 3))), radius_px=0)
+
+
+def test_median_smooth_rejects_unknown_border():
+    with pytest.raises(ValueError, match="border"):
+        median_smooth(Image(np.zeros((3, 3))), radius_px=2, border="wrap")
