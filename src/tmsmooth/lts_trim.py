@@ -37,6 +37,8 @@ def lts_center(values, r: int):
     Returns the mean of the contiguous sorted block of size n - r with
     minimal within-block sum of squared deviations.  Values run along the
     last axis; leading axes are independent windows (a float for 1-D input).
+    A window whose block scores all overflow to inf or NaN (values beyond
+    about 1e154) has no minimal block, and its centre is 0.0.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     n = vals.shape[-1]
@@ -83,8 +85,11 @@ def trim_values(values, trim_fraction: float):
         raise ValueError("cannot trim an empty window")
     r = trim_count(n, trim_fraction)
     keep = n - r
-    center = lts_center(vals, r)
-    resid = (vals - np.expand_dims(center, -1)) ** 2
+    # values beyond about 1e154 overflow the block scores and residuals
+    # (see lts_center); the ranking below takes inf as the largest residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = lts_center(vals, r)
+        resid = (vals - np.expand_dims(center, -1)) ** 2
     if r == 0:
         return center, np.ones(vals.shape, dtype=bool), resid.max(axis=-1), 0
     thr = np.take(np.partition(resid, keep - 1, axis=-1), keep - 1, axis=-1)

@@ -9,10 +9,14 @@ The kernel of an entry y_i is cut at the points y_i - g and y_i + g, taken
 as computed in floating point, and it is active exactly where
 fl(y_i - g) < y < fl(y_i + g).  The field, the search policy and the walk
 all decide membership by this one rule, so F is 0 at both ends of its
-support and positive just inside them.  Once g is below half an ulp of
-y_i, fl(y_i - g) = y_i = fl(y_i + g) and the kernel is active nowhere: it
-carries no kernel, like an entry of weight 0, and DensityField and the
-smoother leave it out.  F is smooth only between consecutive cut points.
+support and positive just inside them.  A kernel is active at some float
+iff it is active at y_i itself, fl(y_i - g) < y_i < fl(y_i + g): rounding
+is monotone and adjacent gaps between floats differ by at most a factor
+of two, so once one cut rounds to y_i the other rounds to y_i or to its
+neighbour, and no float lies strictly between them.  A kernel active
+nowhere carries no kernel, like an entry of weight 0, and DensityField
+and the smoother leave it out.  F is smooth only between consecutive cut
+points.
 On such a segment every active term of F'' is
 kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is strictly concave
 there and F' strictly decreasing.  Moving in a direction d (+1 or -1), a
@@ -80,8 +84,11 @@ is copied about log2(batch) times per search, not on every pass.  A pass
 checks batch // set size cuts per row, so the work per pass stays about
 batch row-cut evaluations and the last rows of a batch finish in a few
 passes.  A downward search runs as an upward one on the mirrored field
-(y -> -y), which negates every intermediate exactly.  nearest_mode is
-the batch of one.
+(y -> -y), which negates every intermediate exactly.  A stack whose
+rows all stay returns right after the start test.  Otherwise each row's
+mode, step count and convergence flag are written straight to that row,
+and only an outlier row compares its upward and downward results.
+nearest_mode is the batch of one.
 """
 
 from __future__ import annotations
@@ -116,7 +123,6 @@ class DensityField:
     retained: np.ndarray | None = None
 
     _ys: np.ndarray = dc_field(init=False, repr=False)
-    _ks: np.ndarray = dc_field(init=False, repr=False)
     _kc: np.ndarray = dc_field(init=False, repr=False)
     _enter: np.ndarray = dc_field(init=False, repr=False)
     _leave: np.ndarray = dc_field(init=False, repr=False)
@@ -140,15 +146,15 @@ class DensityField:
             mask = np.asarray(self.retained, dtype=bool).ravel()
             if mask.size != vals.size:
                 raise ValueError("retained mask length mismatch")
-        active = mask & (wts > 0) & (vals - self.g < vals + self.g)
+        active = mask & (wts > 0) & _active(vals - self.g, vals + self.g,
+                                             vals)
         if not np.any(active):
             raise DegenerateFieldError(
                 "no retained entry carries a kernel of positive weight")
         order = np.argsort(vals[active], kind="stable")
         self._ys = vals[active][order]
-        self._ks = wts[active][order]
         # kappa * phi(v) / (Z * g) is the per-entry contribution to F
-        self._kc = self._ks * (_GAUSS_COEF / self.g)
+        self._kc = wts[active][order] * (_GAUSS_COEF / self.g)
         self._enter, self._leave = self._ys - self.g, self._ys + self.g
         self.values = vals
         self.weights = wts
@@ -234,6 +240,8 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     is known); the walk skips the cut points the bound from there clears
     (see module docstring).  Every row of the working set runs the same
     steps in lock step.  Returns (mode, root-solver steps, converged).
+    Overflows, divisions by 0 and NaN are part of the search; _nearest_modes
+    runs it with their warnings off.
     """
     n = y0.size
     if not n:
@@ -293,83 +301,94 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     iters = np.full(n, max_iter)
     conv = np.zeros(n, dtype=bool)
     at, live = np.arange(n), np.ones(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            if not at.size:
-                break
-            yn = np.where(pp < 0.0, yc - p / pp, lo)
-            out = ~((lo < yn) & (yn < hi))
-            yn[out] = 0.5 * (lo[out] + hi[out])
-            stuck = live & ~((lo < yn) & (yn < hi))
-            iters[at[stuck]] = it - 1
-            live &= ~stuck
-            p, pp = _seg_derivs(yn, y, k, None, g)
-            mode[at[live]] = yn[live]
-            ok = live & (np.abs(p) <= tol)
-            yf = np.where(pp < 0.0, yn - p / pp, yn)
-            mode[at[ok]] = np.where((lo < yf) & (yf < hi), yf, yn)[ok]
-            iters[at[ok]] = it
-            conv[at[ok]] = True
-            live &= ~ok
-            up = p > 0.0
-            lo, hi, yc = np.where(up, yn, lo), np.where(up, hi, yn), yn
-            if 2 * np.count_nonzero(live) <= at.size:
-                at, y, k, lo, hi, yc, p, pp, live = (a[live] for a in (
-                    at, y, k, lo, hi, yc, p, pp, live))
+    for it in range(1, max_iter + 1):
+        if not at.size:
+            break
+        yn = np.where(pp < 0.0, yc - p / pp, lo)
+        out = ~((lo < yn) & (yn < hi))
+        yn[out] = 0.5 * (lo[out] + hi[out])
+        stuck = live & ~((lo < yn) & (yn < hi))
+        iters[at[stuck]] = it - 1
+        live &= ~stuck
+        p, pp = _seg_derivs(yn, y, k, None, g)
+        mode[at[live]] = yn[live]
+        ok = live & (np.abs(p) <= tol)
+        yf = np.where(pp < 0.0, yn - p / pp, yn)
+        mode[at[ok]] = np.where((lo < yf) & (yf < hi), yf, yn)[ok]
+        iters[at[ok]] = it
+        conv[at[ok]] = True
+        live &= ~ok
+        up = p > 0.0
+        lo, hi, yc = np.where(up, yn, lo), np.where(up, hi, yn), yn
+        if 2 * np.count_nonzero(live) <= at.size:
+            at, y, k, lo, hi, yc, p, pp, live = (a[live] for a in (
+                at, y, k, lo, hi, yc, p, pp, live))
     return mode, iters, conv
 
 
-def _nearest_modes(ys, ks, g, start, tol, max_iter):
+def _nearest_modes(ys, kc, g, start, tol, max_iter):
     """Nearest-mode search for a stack of fields (see module docstring).
 
-    Row p holds kernel centres ys[p] with spatial weights ks[p] (weight 0:
-    no kernel) and starts at start[p].  Returns (mode, iterations,
-    direction, converged) per row, direction 1 up, -1 down, 0 stay and
-    2 both.
+    Row p holds kernel centres ys[p] with coefficients kc[p], the spatial
+    weights times _GAUSS_COEF / g (0: no kernel), and starts at start[p].
+    Returns (mode, iterations, direction, converged) per row, direction 1
+    up, -1 down, 0 stay and 2 both.
     """
-    kc = ks * (_GAUSS_COEF / g)
-    live = kc > 0.0
-    s = start[:, None]
-    on = _active(ys - g, ys + g, s) & live
-    fp = _seg_derivs(start, ys, kc, on, g, False)[0]
-    d = np.where(on.any(axis=1),
-                 np.where(np.abs(fp) <= tol, 0, np.sign(fp)), 2).astype(int)
-    src = np.flatnonzero(abs(d) == 1)
-    # the walk of a climbing start skips from |F'(start)|
-    sgn, y0, slope0 = d[src], start[src], np.abs(fp[src])
-    both = np.flatnonzero(d == 2)
-    if both.size:
-        # outlier start: no kernel is active there, so each one enters at
-        # or above it or leaves at or below it.  Search away from the start
-        # from the cut point where the density begins on either side; there
-        # is no slope to skip from
-        enter, leave = ys[both] - g, ys[both] + g
-        s, live = s[both], live[both]
-        up = np.where(live & (enter >= s), enter, np.inf).min(axis=1)
-        down = np.where(live & (leave <= s), leave, -np.inf).max(axis=1)
-        src = np.concatenate([src, both, both])
-        sgn = np.concatenate([sgn, np.repeat([1, -1], both.size)])
-        y0 = np.concatenate([y0, up, down])
-        slope0 = np.concatenate([slope0, np.zeros(2 * both.size)])
-        go = np.isfinite(y0)
-        src, sgn, y0, slope0 = src[go], sgn[go], y0[go], slope0[go]
-    # a downward search climbs the mirrored field y -> -y
-    ys, kc, dn = ys[src], kc[src], sgn < 0
-    ys[dn] = -ys[dn]
-    m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, tol, max_iter)
-    # slot 0 holds the upward results and the stays, slot 1 the downward
-    # ones; only an outlier start fills both, and then the candidate closer
-    # to the start wins, a tie picking the smaller (downward) intensity
-    slot = dn.astype(int)
-    cand = np.full((2, start.size), np.nan)
-    iters = np.zeros((2, start.size), dtype=int)
-    conv = np.ones((2, start.size), dtype=bool)
-    cand[0, d == 0] = start[d == 0]
-    cand[slot, src], iters[slot, src], conv[slot, src] = sgn * m, it, ok
-    dist = np.abs(cand - start)
-    pick = ((dist[1] <= dist[0]) | np.isnan(dist[0])).astype(int)
-    rows = np.arange(start.size)
-    return cand[pick, rows], iters.sum(axis=0), d, conv[pick, rows]
+    # overflowing terms (values near the float maximum) give inf or NaN,
+    # which stop a row or fail its root solver: it is reported not converged
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        live = kc > 0.0
+        s = start[:, None]
+        on = _active(ys - g, ys + g, s) & live
+        fp = _seg_derivs(start, ys, kc, on, g, False)[0]
+        d = np.where(on.any(axis=1), np.where(np.abs(fp) <= tol, 0,
+                                              np.sign(fp)), 2).astype(int)
+        mode, iters = start.copy(), np.zeros(start.size, dtype=int)
+        conv = np.ones(start.size, dtype=bool)
+        if not d.any():
+            return mode, iters, d, conv
+        src = np.flatnonzero(abs(d) == 1)
+        # the walk of a climbing start skips from |F'(start)|
+        sgn, y0, slope0 = d[src], start[src], np.abs(fp[src])
+        both, tail = np.flatnonzero(d == 2), 0
+        if both.size:
+            # outlier start: no kernel is active there, so each one enters
+            # at or above it or leaves at or below it.  Search away from the
+            # start from the cut point where the density begins on either
+            # side; there is no slope to skip from.  The downward searches
+            # come last
+            enter, leave = ys[both] - g, ys[both] + g
+            s, live = s[both], live[both]
+            up = np.where(live & (enter >= s), enter, np.inf).min(axis=1)
+            down = np.where(live & (leave <= s), leave, -np.inf).max(axis=1)
+            mode[both] = np.nan
+            src = np.concatenate([src, both, both])
+            sgn = np.concatenate([sgn, np.repeat([1, -1], both.size)])
+            y0 = np.concatenate([y0, up, down])
+            slope0 = np.concatenate([slope0, np.zeros(2 * both.size)])
+            go = np.isfinite(y0)
+            src, sgn, y0, slope0 = src[go], sgn[go], y0[go], slope0[go]
+            tail = np.count_nonzero(np.isfinite(down))
+        # a downward search climbs the mirrored field y -> -y
+        ys, kc, dn = ys[src], kc[src], sgn < 0
+        ys[dn] = -ys[dn]
+        m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, tol, max_iter)
+        m *= sgn
+        # each row takes its results, an outlier row those of its upward
+        # search first (NaN if it has none)
+        head = src.size - tail
+        row = src[:head]
+        mode[row], iters[row], conv[row] = m[:head], it[:head], ok[:head]
+        if tail:
+            # an outlier row's downward result wins when it is no farther
+            # from the start, a tie picking the smaller intensity, or when
+            # the upward one is NaN; the steps of both searches add up
+            row, m, it, ok = src[head:], m[head:], it[head:], ok[head:]
+            iters[row] += it
+            x, up = start[row], mode[row]
+            near = (np.abs(m - x) <= np.abs(up - x)) | np.isnan(up)
+            mode[row[near]], conv[row[near]] = m[near], ok[near]
+        return mode, iters, d, conv
 
 
 _DIRECTIONS = {1: "up", -1: "down", 0: "stay", 2: "both"}
@@ -380,7 +399,7 @@ def nearest_mode(f: DensityField, start: float) -> ModeResult:
     if not np.isfinite(start):
         raise ValueError("start must be finite")
     mode, iters, d, conv = _nearest_modes(
-        f._ys[None], f._ks[None], f.g, np.array([float(start)]), DEFAULT_TOL,
+        f._ys[None], f._kc[None], f.g, np.array([float(start)]), DEFAULT_TOL,
         DEFAULT_MAX_ITER)
     mode = float(mode[0])
     return ModeResult(mode=mode, iterations=int(iters[0]),

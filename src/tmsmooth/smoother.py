@@ -21,10 +21,13 @@ pixel.  A band holds as many image rows as fit BAND_ENTRIES window entries
 edge padding for "replicate", NaN for the entries a "clip" window lacks.
 Each band is trimmed in groups of equal entry count and then searched in
 lock step (see mode_density), so working memory beyond the input and
-output images scales with the band, not with the image.  The trim scores
-one LTS block at a time and the search copies its per-row arrays only
-when half of its rows are done, so a band of 2**15 entries (256 kB of
-window values) takes under 2 MB of temporaries on 5x5 and 9x9 windows.
+output images scales with the band, not with the image.  A band whose
+pixels all stay (each start is a mode of its own window density, as on a
+noise-free image of flat regions) ends its search after the start test.
+The trim scores one LTS block at a time and the search copies its
+per-row arrays only when half of its rows are done, so a band of 2**15
+entries (256 kB of window values) takes under 2 MB of temporaries on 5x5
+and 9x9 windows.
 No row's arithmetic depends on the other rows of its band: the output is
 bit-identical for every band size and traversal order.
 """
@@ -41,7 +44,7 @@ from . import lts_trim, mode_density
 # they stay importable from this module for code that rebinds them on it,
 # such as the traced benchmark run (perfbench/spans.py)
 from .grid_image import Image, _check_border, window_at  # noqa: F401
-from .kernels import k2
+from .kernels import _GAUSS_COEF, k2
 from .lts_trim import trim_count, trim_values  # noqa: F401
 from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,  # noqa: F401
                            DensityField, nearest_mode)
@@ -181,35 +184,36 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
     Windows are trimmed in groups of equal entry count n; the density of
     every row is then built over the positive-weight lattice slots, with
     weight 0 where the slot is off the image or trimmed, or where its
-    kernel collapses: once g is below half an ulp of y, fl(y - g) = y =
-    fl(y + g) and the kernel is active nowhere (see mode_density).
+    kernel collapses: no float lies strictly between fl(y - g) and
+    fl(y + g), which holds iff y does not (see mode_density).
     """
-    valid = ~np.isnan(win)
-    keep = valid.copy()
+    inner = kappa > 0.0
+    ys = win[:, inner]
+    # an off-image (NaN) entry, like a collapsed kernel, is active nowhere
+    on = mode_density._active(ys - g, ys + g, ys)
     trimmed = 0
     if params.trim_fraction > 0.0:
-        n = np.count_nonzero(valid, axis=1)
+        keep = ~np.isnan(win)
+        n = np.count_nonzero(keep, axis=1)
         for m in np.unique(n):
             rows = np.flatnonzero(n == m)
-            sub = valid[rows]
+            sub = keep[rows]
             _, mask, _, r = lts_trim.trim_values(
                 win[rows][sub].reshape(-1, m), params.trim_fraction)
             sub[sub] = mask.ravel()
             keep[rows] = sub
             trimmed += r * rows.size
-    inner = kappa > 0.0
-    ys = win[:, inner]
-    on = keep[:, inner] & (ys - g < ys + g)
-    ks = np.where(on, kappa[inner], 0.0)
-    ys = np.where(on, ys, 0.0)
+        on &= keep[:, inner]
+    kc = on * (kappa[inner] * (_GAUSS_COEF / g))
+    ys[~on] = 0.0
     start = win[:, win.shape[1] // 2]
-    fb = ~np.any(ks > 0.0, axis=1)
+    fb = ~on.any(axis=1)
     modes = np.empty(len(win))
     if fb.any():
         modes[fb] = _quantiles(win[fb], 0.5)[0]
-        ys, ks, start = ys[~fb], ks[~fb], start[~fb]
+        ys, kc, start = ys[~fb], kc[~fb], start[~fb]
     modes[~fb], _, _, conv = mode_density._nearest_modes(
-        ys, ks, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        ys, kc, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     return modes, trimmed, int(fb.sum()), int(conv.size - conv.sum())
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,18 @@ def test_probe_random_trials_need_a_finite_value_range():
         max_bias_probe(CLUSTER25, 1, magnitudes=(1e308,), random_trials=1)
     rep = max_bias_probe(CLUSTER25, 1, magnitudes=(1e308,), random_trials=0)
     assert rep.r == 1
+
+
+@pytest.mark.parametrize("trim", [0.0, 0.15])
+def test_probe_at_float_maximum_warns_nothing(trim):
+    # the trim's scores and the search's terms overflow there; both are
+    # defined for it (see lts_center and mode_density) and stay silent
+    params = SmootherParams(radius_px=2, trim_fraction=trim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = max_bias_probe(CLUSTER25, 2, params, magnitudes=(1e308,),
+                             random_trials=0)
+    assert rep.r == 2
 
 
 def test_untrimmed_center_replacement_breaks_estimate():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from tmsmooth.kernels import _GAUSS_COEF
 from tmsmooth.mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                    DegenerateFieldError, DensityField,
-                                   _nearest_modes, nearest_mode)
+                                   _climb, _nearest_modes, nearest_mode)
 
 from conftest import (GAUSS_NORM, random_positive_field, ref_field,
                       ref_lattice_weights, ref_nearest_mode)
@@ -267,8 +268,8 @@ def _check_stack(rows, g, tol):
     for i, (vals, wts, _) in enumerate(rows):
         ys[i, :vals.size], ks[i, :vals.size] = vals, wts
     start = np.array([s for _, _, s in rows])
-    modes, _, d, conv = _nearest_modes(ys, ks, g, start, tol,
-                                       DEFAULT_MAX_ITER)
+    modes, _, d, conv = _nearest_modes(ys, ks * (_GAUSS_COEF / g), g, start,
+                                       tol, DEFAULT_MAX_ITER)
     for (vals, wts, s), m in zip(rows, modes):
         assert m == pytest.approx(ref_nearest_mode(vals, wts, g, s, tol),
                                   abs=1e-4 * g)
@@ -349,6 +350,42 @@ def test_walk_skips_no_zero_on_adversarial_stack(rng, tol):
     assert len(rows) >= 20
     _, conv = _check_stack(rows, g, tol)
     assert conv.all()
+
+
+def test_mixed_stack_matches_batches_of_one():
+    # one stack of stay, up, down and outlier rows, padded with weight-0
+    # slots: each row gets, bit for bit, what it gets alone
+    g = 10.0
+    two = [0.0, 4.0, 9.0, 60.0, 62.0, 67.0]
+    rows = [([42.0], 42.0),        # one kernel, F'(42) = 0: stay
+            (two[:3], 0.0),        # up
+            (two[:3], 9.0),        # down
+            (two, 30.0),           # outlier between two components
+            (two[:3], 100.0),      # outlier above the only component
+            (two, 62.0)]           # up, in the upper of two components
+    ys, ks = np.zeros((len(rows), 6)), np.zeros((len(rows), 6))
+    for i, (vals, _) in enumerate(rows):
+        ys[i, :len(vals)] = vals
+        ks[i, :len(vals)] = np.linspace(1.0, 2.0, len(vals))
+    start = np.array([s for _, s in rows])
+    kc = ks * (_GAUSS_COEF / g)
+    stack = _nearest_modes(ys, kc, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert set(stack[2].tolist()) >= {0, 1, -1, 2}
+    for i in range(len(rows)):
+        alone = _nearest_modes(ys[i:i + 1], kc[i:i + 1], g, start[i:i + 1],
+                               DEFAULT_TOL, DEFAULT_MAX_ITER)
+        for got, want in zip(stack, alone):
+            assert got[i:i + 1].tobytes() == want.tobytes(), i
+    # the outlier row between two components searches both ways from the
+    # cuts 19 and 50; its steps are those of both searches
+    assert stack[2][3] == 2
+    up = _climb(ys[3:4], kc[3:4], g, np.array([50.0]), np.zeros(1),
+                DEFAULT_TOL, DEFAULT_MAX_ITER)
+    down = _climb(-ys[3:4], kc[3:4], g, np.array([-19.0]), np.zeros(1),
+                  DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert up[1][0] > 0 and down[1][0] > 0
+    assert stack[1][3] == up[1][0] + down[1][0]
+    assert stack[0][3] == -down[0][0]  # the lower mode is nearer to 30
 
 
 def test_unimodal_cluster_finds_global_max(rng):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmsmooth import SmootherParams, smooth
 from tmsmooth.grid_image import Image, window_at, write_pgm
 from tmsmooth.lts_trim import trim_count
 from tmsmooth.mode_density import DensityField, nearest_mode
@@ -68,12 +69,54 @@ def _smooth_in_subprocess(g: float, trim: float, big_at=()):
 @pytest.mark.parametrize("g", [1e-14, 1e-15])
 @pytest.mark.parametrize("trim", [0.0, 0.15])
 def test_collapsed_kernels_end_on_integer_image(g, trim):
-    # at g = 1e-14 the kernels of values >= 128 collapse, at 1e-15 those of
-    # values >= 16; each estimate lies next to one of its window values
-    out, _ = _smooth_in_subprocess(g, trim)
+    # at g = 1e-14 the kernels of values >= 128 collapse, their cuts being
+    # adjacent floats, and at 1e-15 those of values >= 16.  Every other
+    # kernel is too narrow to reach a neighbour: each estimate is one of
+    # its window values, and every search converges
+    out, nonconverged = _smooth_in_subprocess(g, trim)
+    assert nonconverged == 0
     img = Image(_image())
     for (i, j), est in np.ndenumerate(out):
-        assert np.min(np.abs(window_at(img, i, j, 2) - est)) <= 1.0
+        assert np.min(np.abs(window_at(img, i, j, 2) - est)) == 0.0
+
+
+def _edge_kernels():
+    """(y, g) pairs around the collapse: binade edges, their neighbours,
+    subnormals and the float maximum, with g near half an ulp of y, and
+    finite cuts."""
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    edges = np.array([1.0, 128.0, 2.0 ** -1022, 2.0 ** 1000, tiny, 3 * tiny,
+                      0.1, 255.0])
+    ys = np.concatenate([edges, np.nextafter(edges, 0.0),
+                         np.nextafter(edges, np.inf), [big]])
+    ys = np.concatenate([ys, -ys, [0.0]])
+    with np.errstate(over="ignore"):
+        g = np.spacing(abs(ys))[:, None] * [0.25, 0.5, 0.6, 0.75, 1, 1.5, 3]
+        finite = np.isfinite(ys[:, None] + g) & np.isfinite(ys[:, None] - g)
+    finite &= g > 0.0
+    return [(y, gi) for y, row, ok in zip(ys, g, finite)
+            for gi in row[ok]] + [(0.0, tiny)]
+
+
+def test_kernel_exists_iff_a_float_lies_between_its_cuts():
+    # the collapse rule fl(y - g) < y < fl(y + g) is "some float lies
+    # strictly between the cuts", the nextafter test, in DensityField and
+    # in smooth (a constant image whose kernels collapse falls back to the
+    # median everywhere)
+    pairs = _edge_kernels()
+    kept = 0
+    for y, g in pairs:
+        exists = bool(np.nextafter(y - g, np.inf) < y + g)
+        kept += exists
+        # the kernel at 0 always exists; a subnormal g overflows the
+        # kernel coefficient, which plays no part here
+        with np.errstate(over="ignore"):
+            f = DensityField(np.array([y, 0.0]), np.ones(2), g)
+        assert (y in f._ys) == exists, (y, g)
+        _, rep = smooth(Image(np.full((3, 3), y)), SmootherParams(
+            radius_px=1, bandwidth=g, trim_fraction=0.0))
+        assert rep.median_fallback_pixels == (0 if exists else 9), (y, g)
+    assert 20 < kept < len(pairs) - 20
 
 
 def test_big_values_are_trimmed_within_the_support_bound():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tmsmooth import mode_density, smoother
-from tmsmooth.grid_image import Image
+from tmsmooth.grid_image import GridGeometry, Image
+from tmsmooth.scene_noise import Disk, Rect, Region, SceneSpec, rasterize
 from tmsmooth.smoother import (DegenerateScaleError, SmootherParams,
                                auto_scale, median_smooth, smooth,
                                window_iqr_grid, window_mode_estimate)
@@ -182,6 +183,28 @@ def test_binary_image_is_fixed_point_without_trim():
     assert np.array_equal(out.pixels, px)
     assert rep.trimmed_total == 0
     assert rep.median_fallback_pixels == 0
+
+
+def test_fixed_point_scene_never_climbs(monkeypatch):
+    # a noise-free scene of constant regions 50 or more apart, untrimmed at
+    # g = 25: every start is a mode of its own level's kernels, so every
+    # band returns after the start test and no search climbs
+    def climb(*args):
+        raise AssertionError("a row climbed")
+
+    monkeypatch.setattr(mode_density, "_climb", climb)
+    scene = SceneSpec(base_offset=40.0, regions=(
+        Region(shape=Rect(corner=(0.1, 0.1), opposite=(0.45, 0.5)),
+               height=140.0),
+        Region(shape=Disk(center=(0.7, 0.3), radius=0.18), height=90.0)))
+    img = rasterize(scene, GridGeometry(48, 40))
+    assert len(np.unique(img.pixels)) == 3
+    for border in ("clip", "replicate"):
+        out, rep = smooth(img, SmootherParams(bandwidth=25.0,
+                                              trim_fraction=0.0,
+                                              border=border))
+        assert np.array_equal(out.pixels, img.pixels)
+        assert rep.nonconverged_pixels == rep.median_fallback_pixels == 0
 
 
 def test_smooth_report_fields(rng):
