@@ -183,8 +183,6 @@ def cmd_probe(ns: argparse.Namespace) -> int:
     img = read_pgm(ns.input)
     row = ns.row if ns.row is not None else img.height // 2
     col = ns.col if ns.col is not None else img.width // 2
-    if not (0 <= row < img.height and 0 <= col < img.width):
-        raise ValueError(f"probe center ({row}, {col}) is outside the image")
     values = window_at(img, row, col, ns.radius, border="replicate")
     params = SmootherParams(radius_px=ns.radius, bandwidth=ns.g,
                             trim_fraction=ns.l)

@@ -39,7 +39,8 @@ from numpy.random import Generator, Philox
 from .grid_image import Image
 from .lts_trim import trim_count
 from .scene_noise import _rekey
-from .smoother import SmootherParams, _window_iqr, window_mode_estimate
+from .smoother import (DEGENERATE_SCALE_FLOOR, SmootherParams, _window_iqr,
+                       window_mode_estimate)
 
 DEFAULT_MAGNITUDES = (1e3, 1e6, 1e9)
 DEFAULT_STRATEGIES = ("all_plus", "all_minus", "center", "split",
@@ -180,7 +181,7 @@ def _probe_bandwidth(values: np.ndarray, params: SmootherParams) -> float:
     if params.bandwidth is not None:
         return params.bandwidth
     iqr = float(_window_iqr(values))
-    return iqr if iqr > 1e-6 else PROBE_FALLBACK_BANDWIDTH
+    return iqr if iqr > DEGENERATE_SCALE_FLOOR else PROBE_FALLBACK_BANDWIDTH
 
 
 def _probe_stack(vals: np.ndarray, r: int, params: SmootherParams,

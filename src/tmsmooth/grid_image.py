@@ -9,12 +9,17 @@ The smoother reads whole row bands of windows at once and owns the spatial
 weights of the window lattice (smoother._bands and _lattice_kappa).
 
 PGM support covers the plain (P2) and raw 8-bit (P5) variants with
-maxval <= 255.  Parse failures raise PgmParseError carrying the byte
+maxval <= 255.  Tokens are separated by whitespace and by '#' comments,
+which run to the end of their line and may appear anywhere between the
+header's tokens and, in P2, between raster samples.  A P2 raster is read
+sample by sample, so memory grows with the file, not with the size its
+header claims.  Parse failures raise PgmParseError carrying the byte
 offset of the offending token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,77 +107,53 @@ def window_at(img: Image, i0: int, j0: int, radius_px: int,
 
 # --- PGM ------------------------------------------------------------------
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Separators (whitespace, and '#' comments through the end of their line),
+# then one token: the run of bytes up to the next separator, empty only at
+# the end of the data.  \s in a bytes pattern is ASCII " \t\n\r\x0b\x0c"
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
-class _Tokenizer:
-    """Header tokenizer: whitespace-separated tokens, '#' comments to EOL."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos:self.pos + 1]
-            if b == b"#":
-                nl = data.find(b"\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif b in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self) -> tuple[bytes, int]:
-        self.skip_separators()
-        start = self.pos
-        if start >= len(self.data):
-            raise PgmParseError("unexpected end of file", start)
-        end = start
-        while end < len(self.data):
-            b = self.data[end:end + 1]
-            if b in _WHITESPACE or b == b"#":
-                break
-            end += 1
-        self.pos = end
-        return self.data[start:end], start
-
-    def next_int(self, what: str) -> tuple[int, int]:
-        tok, at = self.next_token()
-        if not tok.isdigit():
-            raise PgmParseError(f"expected {what}, got {tok!r}", at)
-        return int(tok), at
-
-    def at_end(self) -> bool:
-        self.skip_separators()
-        return self.pos >= len(self.data)
+def _int_token(m: re.Match, what: str, maxval: int | None = None) -> int:
+    """The integer of a _TOKEN match: ASCII digits, at most maxval if given."""
+    tok = m.group(1)
+    if not tok:
+        raise PgmParseError("unexpected end of file", m.start(1))
+    if not tok.isdigit():
+        raise PgmParseError(f"expected {what}, got {tok!r}", m.start(1))
+    v = int(tok)
+    if maxval is not None and v > maxval:
+        raise PgmParseError(f"{what} {v} exceeds maxval {maxval}", m.start(1))
+    return v
 
 
 def parse_pgm(data: bytes) -> Image:
     """Parse PGM bytes (P2 or P5, maxval 1..255) into an Image."""
-    tok = _Tokenizer(data)
     if len(data) < 2:
         raise PgmParseError("not a PGM file", 0)
     magic = data[0:2]
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"unsupported magic {magic!r}", 0)
-    tok.pos = 2
-    width, at_w = tok.next_int("width")
-    height, at_h = tok.next_int("height")
+    # the last match has an empty token at the end of the data, on which
+    # _int_token raises, so next() always finds one
+    tokens = _TOKEN.finditer(data, 2)
+    m = next(tokens)
+    width, at_w = _int_token(m, "width"), m.start(1)
+    height = _int_token(next(tokens), "height")
     if width < 1 or height < 1:
         raise PgmParseError(f"invalid dimensions {width}x{height}", at_w)
-    maxval, at_m = tok.next_int("maxval")
+    m = next(tokens)
+    maxval = _int_token(m, "maxval")
     if not (1 <= maxval <= 255):
-        raise PgmParseError(f"maxval {maxval} outside 1..255", at_m)
+        raise PgmParseError(f"maxval {maxval} outside 1..255", m.start(1))
+    pos = m.end()
     n = width * height
     if magic == b"P5":
-        if tok.pos >= len(data):
-            raise PgmParseError("missing raster separator", tok.pos)
-        sep = data[tok.pos:tok.pos + 1]
-        if sep not in _WHITESPACE:
-            raise PgmParseError("expected single whitespace before raster", tok.pos)
-        start = tok.pos + 1
+        if pos >= len(data):
+            raise PgmParseError("missing raster separator", pos)
+        if not data[pos:pos + 1].isspace():
+            raise PgmParseError("expected single whitespace before raster",
+                                pos)
+        start = pos + 1
         raster = data[start:start + n]
         if len(raster) < n:
             raise PgmParseError(
@@ -185,15 +166,14 @@ def parse_pgm(data: bytes) -> Image:
             bad = int(np.argmax(arr > maxval))
             raise PgmParseError(f"sample exceeds maxval {maxval}", start + bad)
     else:
-        vals = np.empty(n, dtype=float)
-        for k in range(n):
-            v, at = tok.next_int("sample")
-            if v > maxval:
-                raise PgmParseError(f"sample {v} exceeds maxval {maxval}", at)
-            vals[k] = v
-        if not tok.at_end():
-            raise PgmParseError("trailing data after samples", tok.pos)
-        arr = vals
+        # each sample is checked as it is read, and the array is built from
+        # them: the header's size is never allocated up front
+        vals = [_int_token(m, "sample", maxval)
+                for _, m in zip(range(n), tokens)]
+        m = next(tokens)
+        if m.group(1):
+            raise PgmParseError("trailing data after samples", m.start(1))
+        arr = np.array(vals, dtype=float)
     return Image(arr.reshape(height, width))
 
 

@@ -47,6 +47,8 @@ Search policy, given F = field value and F' its derivative at the start:
   first zero of d*F' beyond the start is returned ("up" or "down").
 * F(start) > 0 and |F'(start)| <= tol: the start is returned unchanged
   ("stay"); it is a local maximum because F'' < 0 wherever F > 0.
+* F(start) > 0 and F'(start) NaN (the terms of a kernel more than the
+  float maximum from the start overflow): "stay", not converged.
 * F(start) = 0, no kernel active (the centre observation was an outlier
   far from every retained value): search away from the start from the
   cut point where the density begins on each side, and keep the mode
@@ -107,6 +109,14 @@ class DegenerateFieldError(ValueError):
     """No retained entry carries a kernel of positive spatial weight."""
 
 
+def _check_bandwidth(g: float) -> None:
+    """g must be positive and finite, and so must the kernel's peak
+    _GAUSS_COEF / g: g is at least about 3.25e-309."""
+    if not (0 < g < np.inf and _GAUSS_COEF / float(g) < np.inf):
+        raise ValueError("bandwidth must be positive and finite, at least "
+                         f"about 3.25e-309, got {g!r}")
+
+
 @dataclass
 class DensityField:
     """Intensity density built from (value, weight) pairs.
@@ -138,8 +148,7 @@ class DensityField:
             raise ValueError("values and weights must be finite")
         if np.any(wts < 0):
             raise ValueError("weights must be non-negative")
-        if not (self.g > 0 and np.isfinite(self.g)):
-            raise ValueError(f"bandwidth g must be positive, got {self.g}")
+        _check_bandwidth(self.g)
         if self.retained is None:
             mask = np.ones(vals.size, dtype=bool)
         else:
@@ -332,19 +341,21 @@ def _nearest_modes(ys, kc, g, start, tol, max_iter):
     Row p holds kernel centres ys[p] with coefficients kc[p], the spatial
     weights times _GAUSS_COEF / g (0: no kernel), and starts at start[p].
     Returns (mode, iterations, direction, converged) per row, direction 1
-    up, -1 down, 0 stay and 2 both.
+    up, -1 down, 0 stay and 2 both.  g must keep _GAUSS_COEF / g finite
+    (_check_bandwidth).
     """
-    # overflowing terms (values near the float maximum) give inf or NaN,
-    # which stop a row or fail its root solver: it is reported not converged
+    # overflowing terms (values near the float maximum) give inf or NaN: a
+    # NaN start slope stays, and a NaN stops a row or fails its root
+    # solver; each such row is reported not converged
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         live = kc > 0.0
         s = start[:, None]
         on = _active(ys - g, ys + g, s) & live
         fp = _seg_derivs(start, ys, kc, on, g, False)[0]
-        d = np.where(on.any(axis=1), np.where(np.abs(fp) <= tol, 0,
-                                              np.sign(fp)), 2).astype(int)
+        d = np.where(on.any(axis=1), np.where(np.abs(fp) > tol,
+                                              np.sign(fp), 0), 2).astype(int)
         mode, iters = start.copy(), np.zeros(start.size, dtype=int)
-        conv = np.ones(start.size, dtype=bool)
+        conv = ~np.isnan(fp)
         if not d.any():
             return mode, iters, d, conv
         src = np.flatnonzero(abs(d) == 1)

@@ -47,7 +47,7 @@ from .grid_image import Image, _check_border, window_at  # noqa: F401
 from .kernels import _GAUSS_COEF, k2
 from .lts_trim import trim_count, trim_values  # noqa: F401
 from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,  # noqa: F401
-                           DensityField, nearest_mode)
+                           DensityField, _check_bandwidth, nearest_mode)
 
 DEGENERATE_SCALE_FLOOR = 1e-6
 # window entries per row band: bounds the working set of one batched pass.
@@ -82,11 +82,6 @@ class SmootherParams:
         if not (0.0 <= self.trim_fraction < 0.5):
             raise ValueError("trim_fraction must be in [0, 0.5)")
         _check_border(self.border)
-
-
-def _check_bandwidth(g: float) -> None:
-    if not 0 < g < np.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {g!r}")
 
 
 @dataclass(frozen=True)

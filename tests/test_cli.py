@@ -195,6 +195,19 @@ def test_corrupt_image_is_io_error(tmp_path, capsys):
     assert "pgm error" in capsys.readouterr().err
 
 
+def test_oversized_header_is_io_error(tmp_path, capsys):
+    # the header claims 10^10 pixels of a 23-byte file
+    big = tmp_path / "big.pgm"
+    big.write_bytes(b"P2\n100000 100000\n255\n0\n")
+    code = main(["smooth", str(big), "--g", "10",
+                 "--out", str(tmp_path / "o.pgm")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "pgm error: unexpected end of file (byte offset 23)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def test_constant_image_auto_bandwidth_is_degenerate(tmp_path, capsys):
     flat = tmp_path / "flat.pgm"
     write_pgm(Image(np.full((8, 8), 77.0)), flat)

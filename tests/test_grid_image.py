@@ -116,6 +116,55 @@ def test_parse_errors_carry_offsets():
         parse_pgm(b"P5\n2 1\n255\nA")  # short binary raster
 
 
+@pytest.mark.parametrize("data, message, offset", [
+    (b"P2\nx 1\n255\n0\n", "expected width, got b'x'", 3),
+    (b"P2\n1 -2\n255\n0\n", "expected height, got b'-2'", 5),
+    (b"P2 # c\n 2 0\n255\n", "invalid dimensions 2x0", 8),
+    (b"P2\n1 1\n1.5\n0\n", "expected maxval, got b'1.5'", 7),
+    (b"P5\n1 1 256 x", "maxval 256 outside 1..255", 7),
+    (b"P2\n1 1", "unexpected end of file", 6),
+])
+def test_header_errors_carry_token_offsets(data, message, offset):
+    with pytest.raises(PgmParseError) as exc:
+        parse_pgm(data)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("dims", [b"100000 100000", b"4294967296 3",
+                                  b"1" + b"0" * 30 + b" 7"])
+def test_header_size_is_not_allocated_before_samples(dims):
+    # a claim of 10^10 pixels or more in a short file ends at the file's
+    # end, not in an allocation of the claimed raster
+    data = b"P2\n" + dims + b"\n255\n0\n"
+    with pytest.raises(PgmParseError) as exc:
+        parse_pgm(data)
+    assert exc.value.offset == len(data)
+    assert str(exc.value).startswith("unexpected end of file")
+
+
+def test_p2_comments_between_samples():
+    data = b"P2\n2 2\n255\n0 # first\n255#second\n#\n17\t#x\n3 # end"
+    assert parse_pgm(data).pixels.tolist() == [[0.0, 255.0], [17.0, 3.0]]
+
+
+def test_p2_trailing_token_and_separators():
+    assert parse_pgm(b"P2\n1 1\n9\n7 \n# done\n\x0c").pixels[0, 0] == 7.0
+    with pytest.raises(PgmParseError) as exc:
+        parse_pgm(b"P2\n1 1\n9\n7 # x\n8\n")
+    assert exc.value.offset == 15
+    assert str(exc.value).startswith("trailing data after samples")
+
+
+@pytest.mark.parametrize("byte", [b"\xb2", b"\xa0", b"\x85"])
+def test_non_ascii_sample_byte_rejected(byte):
+    # superscript two, no-break space and next line are neither digits nor
+    # separators
+    with pytest.raises(PgmParseError) as exc:
+        parse_pgm(b"P2\n2 1\n255\n1 " + byte + b"\n")
+    assert str(exc.value) == f"expected sample, got {byte!r} (byte offset 13)"
+
+
 def test_binary_sample_above_maxval_rejected():
     data = b"P5\n2 1\n10\n" + bytes([5, 200])
     with pytest.raises(PgmParseError) as exc:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tmsmooth import mode_density
 from tmsmooth.kernels import _GAUSS_COEF
 from tmsmooth.mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                    DegenerateFieldError, DensityField,
@@ -386,6 +388,56 @@ def test_mixed_stack_matches_batches_of_one():
     assert up[1][0] > 0 and down[1][0] > 0
     assert stack[1][3] == up[1][0] + down[1][0]
     assert stack[0][3] == -down[0][0]  # the lower mode is nearer to 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-3.0, 300.0), st.floats(-17.0, 1.0), st.integers(1, 25),
+       st.sampled_from(["value", "inside", "below", "above"]),
+       st.integers(0, 2**32 - 1))
+def test_walk_passes_at_most_the_row_cuts(log_scale, log_g, n, where, seed):
+    # one row's walk checks one cut per pass and stops at its last real cut
+    # at the latest, so it takes at most as many passes as the row has
+    # cuts, at any value scale and g; kernels that collapse carry none
+    rng = np.random.default_rng(seed)
+    scale, g = 10.0 ** log_scale, 10.0 ** (log_scale + log_g)
+    ys = scale * rng.uniform(-1.0, 1.0, n)
+    ys[rng.random(n) < 0.3] = ys[0]
+    on = (ys - g < ys) & (ys < ys + g)
+    kc = np.where(on, rng.uniform(0.1, 1.0, n) * (_GAUSS_COEF / g), 0.0)
+    start = {"value": ys[-1], "inside": scale * rng.uniform(-1.0, 1.0),
+             "below": ys.min() - 3.0 * g, "above": ys.max() + 3.0 * g}[where]
+    passes = []
+    seg_derivs = mode_density._seg_derivs
+
+    def counted(y, *args):
+        if np.ndim(y) == 2:  # one walk pass: F' at (rows, cuts) points
+            passes.append(1)
+        return seg_derivs(y, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mode_density, "_seg_derivs", counted)
+        _nearest_modes(ys[None], kc[None], g, np.array([start]),
+                       DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert len(passes) <= 2 * np.count_nonzero(kc)
+
+
+def test_nan_start_slope_stays_not_converged():
+    # the terms of a kernel 2e308 from the start overflow, so F'(start) is
+    # NaN: the row stays and is reported not converged
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = make_field([-1e308, 1e308], [1.0, 1.0], 1e308)
+        res = nearest_mode(f, 1e308)
+    assert (res.mode, res.direction, res.converged) == (1e308, "stay", False)
+    # in a stack, next to an up and a stay row.  g = 1e300 keeps the kernel
+    # at 1e308 active at its own value, and coefficients of 1e295 make
+    # |F'| = 1e295 |v| phi(v) / g > tol at the up row's start
+    g = 1e300
+    ys = np.array([[-1e308, 1e308], [0.0, 4e300], [0.0, 4e300]])
+    kc = np.full(ys.shape, 1e295)
+    d, conv = _nearest_modes(ys, kc, g, np.array([1e308, -1e299, 0.0]),
+                             DEFAULT_TOL, DEFAULT_MAX_ITER)[2:]
+    assert d.tolist() == [0, 1, 0]
+    assert conv.tolist() == [False, True, True]
 
 
 def test_unimodal_cluster_finds_global_max(rng):

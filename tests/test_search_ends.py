@@ -18,6 +18,7 @@ import pytest
 
 from tmsmooth import SmootherParams, smooth
 from tmsmooth.grid_image import Image, window_at, write_pgm
+from tmsmooth.kernels import _GAUSS_COEF
 from tmsmooth.lts_trim import trim_count
 from tmsmooth.mode_density import DensityField, nearest_mode
 
@@ -104,19 +105,26 @@ def test_kernel_exists_iff_a_float_lies_between_its_cuts():
     # in smooth (a constant image whose kernels collapse falls back to the
     # median everywhere)
     pairs = _edge_kernels()
-    kept = 0
+    kept = rejected = 0
     for y, g in pairs:
+        if _GAUSS_COEF / float(g) == np.inf:
+            # below the bandwidth limit (about 3.25e-309) the kernel's
+            # peak overflows: such a g is rejected, not collapsed
+            with pytest.raises(ValueError, match="3.25e-309"):
+                DensityField(np.array([y, 0.0]), np.ones(2), g)
+            with pytest.raises(ValueError, match="3.25e-309"):
+                SmootherParams(bandwidth=g)
+            rejected += 1
+            continue
         exists = bool(np.nextafter(y - g, np.inf) < y + g)
         kept += exists
-        # the kernel at 0 always exists; a subnormal g overflows the
-        # kernel coefficient, which plays no part here
-        with np.errstate(over="ignore"):
-            f = DensityField(np.array([y, 0.0]), np.ones(2), g)
+        # the kernel at 0 always exists
+        f = DensityField(np.array([y, 0.0]), np.ones(2), g)
         assert (y in f._ys) == exists, (y, g)
         _, rep = smooth(Image(np.full((3, 3), y)), SmootherParams(
             radius_px=1, bandwidth=g, trim_fraction=0.0))
         assert rep.median_fallback_pixels == (0 if exists else 9), (y, g)
-    assert 20 < kept < len(pairs) - 20
+    assert rejected > 20 and 20 < kept < len(pairs) - rejected - 20
 
 
 def test_big_values_are_trimmed_within_the_support_bound():

@@ -45,6 +45,24 @@ def test_params_reject_nonfinite_bandwidth(g):
         SmootherParams(bandwidth=g)
 
 
+def test_bandwidth_lower_limit():
+    # below about 3.25e-309 the kernel's peak _GAUSS_COEF / g overflows;
+    # above it, the lone 5.0 among zeros moves to their mode and converges
+    for g in (1e-320, 3.25e-309):
+        with pytest.raises(ValueError, match="3.25e-309"):
+            SmootherParams(bandwidth=g)
+        with pytest.raises(ValueError, match="3.25e-309"):
+            window_mode_estimate(WINDOW25, SmootherParams(), g)
+        with pytest.raises(ValueError, match="3.25e-309"):
+            DensityField([0.0], [1.0], g)
+    px = np.zeros((6, 6))
+    px[2, 3] = 5.0
+    out, rep = smooth(Image(px), SmootherParams(bandwidth=3.3e-309,
+                                                trim_fraction=0.0))
+    assert np.all(out.pixels == 0.0)
+    assert rep.nonconverged_pixels == 0
+
+
 @pytest.mark.parametrize("g", [-1.0, 0.0, float("nan"), float("inf")])
 def test_window_estimate_rejects_bad_bandwidth(g):
     with pytest.raises(ValueError, match="bandwidth"):
