@@ -120,6 +120,9 @@ def _int_token(m: re.Match, what: str, maxval: int | None = None) -> int:
         raise PgmParseError("unexpected end of file", m.start(1))
     if not tok.isdigit():
         raise PgmParseError(f"expected {what}, got {tok!r}", m.start(1))
+    if len(tok) > 640:  # int() may be limited to as few as 640 digits
+        raise PgmParseError(f"{what} has {len(tok)} digits, more than 640",
+                            m.start(1))
     v = int(tok)
     if maxval is not None and v > maxval:
         raise PgmParseError(f"{what} {v} exceeds maxval {maxval}", m.start(1))

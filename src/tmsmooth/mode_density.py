@@ -3,7 +3,9 @@
 A density field is the weighted sum of truncated-Gaussian kernels centred
 at the retained window intensities.  The per-pixel estimate is the local
 mode of that field nearest to a starting intensity (the untrimmed centre
-observation).
+observation).  A field is one row of a search stack (_rows, for the
+smoother's windows and DensityField alike): a slot per positive-weight
+entry in entry order, without a kernel where trimmed, off-image or collapsed.
 
 The kernel of an entry y_i is cut at the points y_i - g and y_i + g, taken
 as computed in floating point, and it is active exactly where
@@ -14,11 +16,9 @@ iff it is active at y_i itself, fl(y_i - g) < y_i < fl(y_i + g): rounding
 is monotone and adjacent gaps between floats differ by at most a factor
 of two, so once one cut rounds to y_i the other rounds to y_i or to its
 neighbour, and no float lies strictly between them.  A kernel active
-nowhere carries no kernel, like an entry of weight 0, and DensityField
-and the smoother leave it out.  F is smooth only between consecutive cut
-points.
-On such a segment every active term of F'' is
-kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is strictly concave
+nowhere carries no kernel, like a trimmed entry.  F is smooth only
+between consecutive cut points.  On such a segment every active term of
+F'' is kappa_i (v^2 - 1) phi(v) / g^3 < 0 for |v| < 1: F is strictly concave
 there and F' strictly decreasing.  Moving in a direction d (+1 or -1), a
 kernel enters at v = -d or leaves at v = +d, and either event makes d*F'
 jump upward.  From a point where d*F' > 0, d*F' therefore decreases
@@ -119,12 +119,12 @@ def _check_bandwidth(g: float) -> None:
 
 @dataclass
 class DensityField:
-    """Intensity density built from (value, weight) pairs.
+    """Intensity density built from (value, weight) pairs: one search row
+    (_rows), a slot per positive-weight entry in entry order.
 
     `retained` is a boolean mask over the entries; None keeps all of them.
-    Entries with zero spatial weight, or whose kernel collapses (g below
-    half an ulp of the value), contribute nothing and are excluded from
-    the support hull.
+    A slot not retained, or whose kernel collapses (g below half an ulp of
+    the value), carries no kernel and is left out of the support hull.
     """
 
     values: np.ndarray
@@ -134,8 +134,6 @@ class DensityField:
 
     _ys: np.ndarray = dc_field(init=False, repr=False)
     _kc: np.ndarray = dc_field(init=False, repr=False)
-    _enter: np.ndarray = dc_field(init=False, repr=False)
-    _leave: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
@@ -149,41 +147,32 @@ class DensityField:
         if np.any(wts < 0):
             raise ValueError("weights must be non-negative")
         _check_bandwidth(self.g)
-        if self.retained is None:
-            mask = np.ones(vals.size, dtype=bool)
-        else:
+        mask = np.ones(vals.size, dtype=bool)
+        if self.retained is not None:
             mask = np.asarray(self.retained, dtype=bool).ravel()
             if mask.size != vals.size:
                 raise ValueError("retained mask length mismatch")
-        active = mask & (wts > 0) & _active(vals - self.g, vals + self.g,
-                                             vals)
-        if not np.any(active):
+        self._ys, self._kc, _ = _rows(vals, wts, self.g, mask)
+        if not np.any(self._kc > 0.0):
             raise DegenerateFieldError(
                 "no retained entry carries a kernel of positive weight")
-        order = np.argsort(vals[active], kind="stable")
-        self._ys = vals[active][order]
-        # kappa * phi(v) / (Z * g) is the per-entry contribution to F
-        self._kc = wts[active][order] * (_GAUSS_COEF / self.g)
-        self._enter, self._leave = self._ys - self.g, self._ys + self.g
-        self.values = vals
-        self.weights = wts
-        self.retained = mask
+        self.values, self.weights, self.retained = vals, wts, mask
 
     @property
     def support(self) -> tuple[float, float]:
         """Hull of the positive-density region: the outermost cut points."""
-        return float(self._enter[0]), float(self._leave[-1])
+        ys = self._ys[self._kc > 0.0]
+        return float((ys - self.g).min()), float((ys + self.g).max())
 
     def eval_all(self, y):
-        """(F, F', F'') at y, a scalar or an array, sharing one exponential
-        pass over the kernels active at y."""
+        """(F, F', F'') at y, a scalar or an array; F' and F'' are the
+        search's own (_seg_derivs, with the start test's membership)."""
         y_arr = np.asarray(y, dtype=float)
-        yc = y_arr[..., None]
-        v = (yc - self._ys) / self.g
-        t = np.where(_active(self._enter, self._leave, yc),
-                     self._kc * np.exp(-0.5 * v * v), 0.0)
-        out = (t.sum(axis=-1), -(v * t).sum(axis=-1) / self.g,
-               ((v * v - 1.0) * t).sum(axis=-1) / (self.g * self.g))
+        ys, kc, g = self._ys, self._kc, self.g
+        on = _active(ys - g, ys + g, y_arr[..., None]) & (kc > 0.0)
+        v = (y_arr[..., None] - ys) / g
+        out = ((on * kc * np.exp(-0.5 * v * v)).sum(axis=-1),
+               *_seg_derivs(y_arr, ys, kc, on, g))
         return tuple(map(float, out)) if y_arr.ndim == 0 else out
 
     def value(self, y):
@@ -216,6 +205,20 @@ class ModeResult:
 def _active(enter, leave, y):
     """The membership rule: a kernel is active at y iff enter < y < leave."""
     return (enter < y) & (y < leave)
+
+
+def _rows(vals, wts, g, keep=None):
+    """(ys, kc, on): search rows of the entry values vals (entries on the
+    last axis) with weights wts, one slot per positive weight.  A slot is
+    on where kept and fl(y - g) < y < fl(y + g) (never at NaN); ys and kc
+    are 0 where it is off."""
+    pos = wts > 0.0
+    ys = vals[..., pos]
+    on = _active(ys - g, ys + g, ys)
+    if keep is not None:
+        on &= keep[..., pos]
+    ys[~on] = 0.0
+    return ys, on * (wts[pos] * (_GAUSS_COEF / g)), on
 
 
 def _seg_derivs(y, ys, kc, seg, g, second=True):
@@ -264,7 +267,7 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     last = cuts.shape[1] - 1
     first = np.count_nonzero(cuts <= y0[:, None], axis=1)
     # no zero lies below reach (the skip bound of the module docstring)
-    curv = kc.sum(axis=1) / (g * g)
+    curv = kc.sum(axis=1) / g / g
     nxt, reach = first, y0 + (slope0 - tol) / curv
     lo, hi = np.empty(n), np.empty(n)
     at, live, y, k = np.arange(n), np.ones(n, dtype=bool), ys, kc

@@ -44,7 +44,7 @@ from . import lts_trim, mode_density
 # they stay importable from this module for code that rebinds them on it,
 # such as the traced benchmark run (perfbench/spans.py)
 from .grid_image import Image, _check_border, window_at  # noqa: F401
-from .kernels import _GAUSS_COEF, k2
+from .kernels import k2
 from .lts_trim import trim_count, trim_values  # noqa: F401
 from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,  # noqa: F401
                            DensityField, _check_bandwidth, nearest_mode)
@@ -176,17 +176,11 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
     """Estimates for a (P, k) window stack; NaN entries lie off the image.
 
     Returns (modes, trimmed entries, median fallbacks, non-converged).
-    Windows are trimmed in groups of equal entry count n; the density of
-    every row is then built over the positive-weight lattice slots, with
-    weight 0 where the slot is off the image or trimmed, or where its
-    kernel collapses: no float lies strictly between fl(y - g) and
-    fl(y + g), which holds iff y does not (see mode_density).
+    Windows are trimmed in groups of equal entry count; each is then one
+    search row (mode_density._rows), or the window median if the row holds
+    no kernel.
     """
-    inner = kappa > 0.0
-    ys = win[:, inner]
-    # an off-image (NaN) entry, like a collapsed kernel, is active nowhere
-    on = mode_density._active(ys - g, ys + g, ys)
-    trimmed = 0
+    keep, trimmed = None, 0
     if params.trim_fraction > 0.0:
         keep = ~np.isnan(win)
         n = np.count_nonzero(keep, axis=1)
@@ -198,9 +192,7 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
             sub[sub] = mask.ravel()
             keep[rows] = sub
             trimmed += r * rows.size
-        on &= keep[:, inner]
-    kc = on * (kappa[inner] * (_GAUSS_COEF / g))
-    ys[~on] = 0.0
+    ys, kc, on = mode_density._rows(win, kappa, g, keep)
     start = win[:, win.shape[1] // 2]
     fb = ~on.any(axis=1)
     modes = np.empty(len(win))

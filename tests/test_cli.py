@@ -208,6 +208,22 @@ def test_oversized_header_is_io_error(tmp_path, capsys):
     assert not (tmp_path / "o.pgm").exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n" + b"9" * 5000 + b" 2\n255\n", "width has 5000 digits"),
+    (b"P2\n2 1\n255\n7 " + b"0" * 5000 + b"\n", "sample has 5000 digits"),
+])
+def test_long_digit_token_is_io_error(tmp_path, capsys, data, message):
+    # beyond the interpreter's integer-string limit (4300 digits by default)
+    path = tmp_path / "long.pgm"
+    path.write_bytes(data)
+    code = main(["smooth", str(path), "--g", "10",
+                 "--out", str(tmp_path / "o.pgm")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"pgm error: {message}, more than 640" in err
+    assert "Traceback" not in err
+
+
 def test_constant_image_auto_bandwidth_is_degenerate(tmp_path, capsys):
     flat = tmp_path / "flat.pgm"
     write_pgm(Image(np.full((8, 8), 77.0)), flat)

@@ -128,11 +128,10 @@ def test_trimmed_field_equals_full_in_the_middle_band(rng):
         band = np.linspace(y_u + g, y_o - g, 33)[1:-1]
         if band.size == 0 or y_o - y_u <= 2 * g:
             continue
-        # excluded kernels contribute exact zeros in the band, but summation
-        # order differs between the two fields, so allow ulp-level residue
-        assert np.allclose(trim.d1(band), full.d1(band), rtol=0, atol=1e-15)
-        assert np.allclose(trim.value(band), full.value(band),
-                           rtol=0, atol=1e-15)
+        # excluded kernels contribute exact zeros in the band, and both
+        # fields hold one slot per entry in entry order: equal bit for bit
+        assert np.array_equal(trim.d1(band), full.d1(band))
+        assert np.array_equal(trim.value(band), full.value(band))
 
 
 # -- mode search -------------------------------------------------------------
@@ -438,6 +437,18 @@ def test_nan_start_slope_stays_not_converged():
                              DEFAULT_TOL, DEFAULT_MAX_ITER)[2:]
     assert d.tolist() == [0, 1, 0]
     assert conv.tolist() == [False, True, True]
+
+
+def test_skip_bound_at_huge_bandwidth():
+    # g * g overflows above g of about 1.34e154; the curvature floor then
+    # read 0 and the walk skipped every cut, to the mode at 3e155 of
+    # another support component.  The first zero of F' above the start is
+    # the midpoint of the two kernels at 0 and 5e154
+    g = 1e155
+    res = nearest_mode(make_field([0.0, 5e154, 3e155], [1e307] * 3, g),
+                       1e154)
+    assert (res.direction, res.converged) == ("up", True)
+    assert res.mode == pytest.approx(2.5e154, abs=1e-3 * g)
 
 
 def test_unimodal_cluster_finds_global_max(rng):

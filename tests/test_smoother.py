@@ -401,6 +401,67 @@ def test_window_estimate_stack_matches_single_calls(rng):
     assert nearest_mode(f, 250.0).direction == "both"
 
 
+def _random_windows(rng, k, count):
+    """(count, k) windows: integer and real values, planted outliers
+    (some at the centre) and kernels that collapse at a moderate g."""
+    ints = rng.integers(0, 256, size=(count // 2, k)).astype(float)
+    reals = rng.uniform(0.0, 255.0, size=(count - count // 2, k))
+    wins = np.concatenate([ints, reals])
+    rows = rng.choice(count, count // 3, replace=False)
+    for p in rows:
+        at = rng.choice(k, size=int(rng.integers(1, k // 4 + 2)),
+                        replace=False)
+        # 1e20: the kernel collapses at any g below about 8e3
+        wins[p, at] = rng.choice([-1e9, 1e9, 250.0, 1e20], size=at.size)
+    wins[rows[::5], k // 2] = 1e20
+    wins[rows[1::7]] = 1e20 + 16384.0 * rng.integers(0, 3, size=k)
+    return wins
+
+
+def test_density_field_is_the_smoothers_search_row(rng):
+    # nearest_mode on the field of a window's entries, lattice weights and
+    # trim mask is the smoother's search of that window, bit for bit: the
+    # same slots, the same mode, and, with the rows of many windows run as
+    # one stack, the same steps, direction and convergence flag
+    checked = fallbacks = 0
+    for w in (1, 2, 4):
+        kappa = smoother._lattice_kappa(w)
+        k = kappa.size
+        for trim in (0.0, 0.15, 0.3):
+            for g in (16.0, float(rng.uniform(5.0, 40.0))):
+                params = SmootherParams(radius_px=w, trim_fraction=trim)
+                wins = _random_windows(rng, k, 60)
+                est = window_mode_estimate(wins, params, g)
+                keep = np.array([trim_values(win, trim)[1] for win in wins])
+                ys, kc, on = mode_density._rows(wins, kappa, g,
+                                                keep if trim else None)
+                live = on.any(axis=1)
+                stack = mode_density._nearest_modes(
+                    ys[live], kc[live], g, wins[live, k // 2], DEFAULT_TOL,
+                    mode_density.DEFAULT_MAX_ITER)
+                results = []
+                for p, win in enumerate(wins):
+                    if not live[p]:
+                        with pytest.raises(mode_density.DegenerateFieldError):
+                            DensityField(win, kappa, g, keep[p])
+                        assert est[p] == np.sort(win)[(k - 1) // 2]
+                        fallbacks += 1
+                        continue
+                    f = DensityField(win, kappa, g, keep[p])
+                    assert f._ys.tobytes() == ys[p].tobytes()
+                    assert f._kc.tobytes() == kc[p].tobytes()
+                    results.append(nearest_mode(f, win[k // 2]))
+                modes = np.array([r.mode for r in results])
+                assert modes.tobytes() == est[live].tobytes(), (w, trim, g)
+                assert modes.tobytes() == stack[0].tobytes()
+                assert [r.iterations for r in results] == stack[1].tolist()
+                assert [r.direction for r in results] == [
+                    mode_density._DIRECTIONS[d] for d in stack[2].tolist()]
+                assert [r.converged for r in results] == stack[3].tolist()
+                checked += len(results)
+    assert checked > 900 and fallbacks > 20
+
+
 # -- median baseline ----------------------------------------------------------
 
 
