@@ -21,7 +21,7 @@ ranked once by centrality, and of replacement values.  The probe at r
 holds every fixed case of the probes at smaller r, so
 `breakdown_estimate` estimates each replacement count once, in doubling
 blocks, and stops at the first block that breaks.  An unknown strategy
-raises ValueError at any r, also r = 0.
+or a non-finite window value raises ValueError at any r, also r = 0.
 """
 
 from __future__ import annotations
@@ -192,6 +192,8 @@ def _probe_stack(vals: np.ndarray, r: int, params: SmootherParams,
     row of the stack is estimated on its own."""
     n = vals.size
     side = _window_side(n)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("window values must be finite")
     params = replace(params, radius_px=side // 2)
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < window size")
@@ -269,8 +271,8 @@ def max_bias_probe(values, r: int,
     and r does not exceed the trimmable count, each contaminated
     estimate is checked against the support interval computed from the
     values that were NOT replaced, and the reported scalar bound comes
-    from the clean window extremes.  An unknown strategy raises
-    ValueError, also at r = 0.
+    from the clean window extremes.  An unknown strategy or a non-finite
+    window value raises ValueError, also at r = 0.
     """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
@@ -312,7 +314,8 @@ def breakdown_estimate(values, params: SmootherParams = SmootherParams(),
     cases of every smaller count, so the counts are estimated once each,
     in blocks 1, 2-3, 4-7, ..., stopping at the first block that breaks.
     A NaN bias makes every probe from its count on report NaN, which
-    never exceeds the threshold.
+    never exceeds the threshold.  A non-finite window value raises
+    ValueError.
     """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size

@@ -87,10 +87,13 @@ checks batch // set size cuts per row, so the work per pass stays about
 batch row-cut evaluations and the last rows of a batch finish in a few
 passes.  A downward search runs as an upward one on the mirrored field
 (y -> -y), which negates every intermediate exactly.  A stack whose
-rows all stay returns right after the start test.  Otherwise each row's
-mode, step count and convergence flag are written straight to that row,
-and only an outlier row compares its upward and downward results.
-nearest_mode is the batch of one.
+rows all stay returns right after the start test.  Otherwise the
+climbing rows are gathered, row-major, into a float64 workspace that
+also holds the walk's enter, leave and cut arrays; a caller that
+searches many stacks (the smoother's bands) passes one _Workspace for
+all of them.  Each row's mode, step count and convergence flag are
+written straight to that row, and only an outlier row compares its
+upward and downward results.  nearest_mode is the batch of one.
 """
 
 from __future__ import annotations
@@ -244,25 +247,34 @@ def _seg_derivs(y, ys, kc, seg, g, second=True):
     return -v.sum(axis=-1) / g, fpp
 
 
-def _climb(ys, kc, g, y0, slope0, tol, max_iter):
+def _climb(ys, kc, g, y0, slope0, tol, max_iter, work=None):
     """First zero of F' above y0[p] per row, where F' > 0 just above y0[p].
 
     Rows are independent fields; kc == 0 marks a slot without a kernel.
     slope0[p] is |F'(y0[p])| over the kernels active at y0[p] (0 if none
     is known); the walk skips the cut points the bound from there clears
     (see module docstring).  Every row of the working set runs the same
-    steps in lock step.  Returns (mode, root-solver steps, converged).
+    steps in lock step.  The walk's enter, leave and cut arrays are built
+    in the float64 buffer `work`, which holds at least 4 * ys.size values
+    (None: a new one).  Returns (mode, root-solver steps, converged).
     Overflows, divisions by 0 and NaN are part of the search; _nearest_modes
     runs it with their warnings off.
     """
     n = y0.size
     if not n:
         return y0.copy(), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    size = ys.size
+    if work is None:
+        work = np.empty(4 * size)
+    enter = work[:size].reshape(ys.shape)
+    leave = work[size:2 * size].reshape(ys.shape)
+    cuts = work[2 * size:4 * size].reshape(n, -1)
     # a slot without a kernel has NaN cuts: sorted last, never active
-    enter = np.where(kc > 0.0, ys, np.nan)
-    leave = enter + g
+    enter.fill(np.nan)
+    np.copyto(enter, ys, where=kc > 0.0)
+    np.add(enter, g, out=leave)
     enter -= g
-    cuts = np.concatenate([enter, leave], axis=1)
+    np.concatenate([enter, leave], axis=1, out=cuts)
     cuts.sort(axis=1)
     last = cuts.shape[1] - 1
     first = np.count_nonzero(cuts <= y0[:, None], axis=1)
@@ -338,14 +350,31 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter):
     return mode, iters, conv
 
 
-def _nearest_modes(ys, kc, g, start, tol, max_iter):
+class _Workspace:
+    """Float64 buffer for climbing stacks of up to `rows` rows of `slots`
+    kernel slots: a stack's centres and coefficients (_nearest_modes),
+    then the walk's enter, leave and cut arrays (_climb).  It is allocated
+    when the first stack climbs and reused by every later one."""
+
+    def __init__(self, rows: int, slots: int):
+        self.size, self._buf = 6 * rows * slots, None
+
+    def buffer(self) -> np.ndarray:
+        if self._buf is None:
+            self._buf = np.empty(self.size)
+        return self._buf
+
+
+def _nearest_modes(ys, kc, g, start, tol, max_iter, work=None):
     """Nearest-mode search for a stack of fields (see module docstring).
 
     Row p holds kernel centres ys[p] with coefficients kc[p], the spatial
     weights times _GAUSS_COEF / g (0: no kernel), and starts at start[p].
-    Returns (mode, iterations, direction, converged) per row, direction 1
-    up, -1 down, 0 stay and 2 both.  g must keep _GAUSS_COEF / g finite
-    (_check_bandwidth).
+    The climbing stack (a row per climbing start, two per outlier start)
+    is built in the buffer of `work`, a _Workspace of at least that many
+    rows (None: one sized for this stack).  Returns (mode, iterations,
+    direction, converged) per row, direction 1 up, -1 down, 0 stay and 2
+    both.  g must keep _GAUSS_COEF / g finite (_check_bandwidth).
     """
     # overflowing terms (values near the float maximum) give inf or NaN: a
     # NaN start slope stays, and a NaN stops a row or fails its root
@@ -383,10 +412,18 @@ def _nearest_modes(ys, kc, g, start, tol, max_iter):
             go = np.isfinite(y0)
             src, sgn, y0, slope0 = src[go], sgn[go], y0[go], slope0[go]
             tail = np.count_nonzero(np.isfinite(down))
-        # a downward search climbs the mirrored field y -> -y
-        ys, kc, dn = ys[src], kc[src], sgn < 0
-        ys[dn] = -ys[dn]
-        m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, tol, max_iter)
+        # the stack is gathered row-major into the workspace; a downward
+        # search climbs the mirrored field y -> -y
+        size = src.size * ys.shape[1]
+        work = (work or _Workspace(src.size, ys.shape[1])).buffer()
+        stack = work[:2 * size].reshape(2, src.size, -1)
+        # mode="raise" would gather into a temporary and copy that out
+        np.take(ys, src, axis=0, out=stack[0], mode="clip")
+        np.take(kc, src, axis=0, out=stack[1], mode="clip")
+        ys, kc = stack
+        ys *= sgn[:, None]
+        m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, tol, max_iter,
+                           work[2 * size:])
         m *= sgn
         # each row takes its results, an outlier row those of its upward
         # search first (NaN if it has none)

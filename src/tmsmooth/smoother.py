@@ -27,7 +27,11 @@ noise-free image of flat regions) ends its search after the start test.
 The trim scores one LTS block at a time and the search copies its
 per-row arrays only when half of its rows are done, so a band of 2**15
 entries (256 kB of window values) takes under 2 MB of temporaries on 5x5
-and 9x9 windows.
+and 9x9 windows.  The largest of them, the climbing rows and the walk's
+cut arrays, live in one workspace per smooth call: allocated at the
+first band that climbs, sized for two search rows per pixel of a band,
+and reused by every later band, so the band loop does not hand its
+largest temporaries back to the system and fault them in again.
 No row's arithmetic depends on the other rows of its band: the output is
 bit-identical for every band size and traversal order.
 """
@@ -105,6 +109,12 @@ class SmoothReport:
         return asdict(self)
 
 
+def _band_rows(width: int, radius_px: int) -> int:
+    """Image rows per band: as many as fit BAND_ENTRIES window entries, at
+    least one."""
+    return max(1, BAND_ENTRIES // (width * (2 * radius_px + 1) ** 2))
+
+
 def _bands(img: Image, radius_px: int, border: str):
     """(first pixel, (P, k) window stack) per row band of the image.
 
@@ -119,7 +129,7 @@ def _bands(img: Image, radius_px: int, border: str):
     else:
         pad = np.pad(img.pixels, w, constant_values=np.nan)
     view = np.lib.stride_tricks.sliding_window_view(pad, (side, side))
-    step = max(1, BAND_ENTRIES // (W * side * side))
+    step = _band_rows(W, radius_px)
     for i in range(0, H, step):
         yield i * W, view[i:i + step].reshape(-1, side * side)
 
@@ -172,19 +182,21 @@ def _lattice_kappa(w: int) -> np.ndarray:
 
 
 def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
-              params: SmootherParams):
+              params: SmootherParams, work=None):
     """Estimates for a (P, k) window stack; NaN entries lie off the image.
 
     Returns (modes, trimmed entries, median fallbacks, non-converged).
     Windows are trimmed in groups of equal entry count; each is then one
     search row (mode_density._rows), or the window median if the row holds
-    no kernel.
+    no kernel (NaN for a window without entries).  The search's climbing
+    stack is built in `work` (mode_density._nearest_modes).
     """
     keep, trimmed = None, 0
     if params.trim_fraction > 0.0:
         keep = ~np.isnan(win)
         n = np.count_nonzero(keep, axis=1)
-        for m in np.unique(n):
+        # a window without entries has nothing to trim
+        for m in np.unique(n[n > 0]):
             rows = np.flatnonzero(n == m)
             sub = keep[rows]
             _, mask, _, r = lts_trim.trim_values(
@@ -200,7 +212,7 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
         modes[fb] = _quantiles(win[fb], 0.5)[0]
         ys, kc, start = ys[~fb], kc[~fb], start[~fb]
     modes[~fb], _, _, conv = mode_density._nearest_modes(
-        ys, kc, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        ys, kc, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER, work)
     return modes, trimmed, int(fb.sum()), int(conv.size - conv.sum())
 
 
@@ -216,10 +228,15 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
     else:
         g, g_mode = float(params.bandwidth), "fixed"
     kappa = _lattice_kappa(w)
+    # one workspace for every band's climbing stack: up to two rows per
+    # pixel of the largest band, since an outlier start searches both ways
+    work = mode_density._Workspace(2 * min(H, _band_rows(W, w)) * W,
+                                   np.count_nonzero(kappa > 0.0))
     out = np.empty(H * W)
     totals = np.zeros(3, dtype=int)
     for p0, win in _bands(img, w, params.border):
-        out[p0:p0 + len(win)], *counts = _estimate(win, kappa, g, params)
+        out[p0:p0 + len(win)], *counts = _estimate(win, kappa, g, params,
+                                                   work)
         totals += counts
     has_full = params.border == "replicate" or min(H, W) > 2 * w
     report = SmoothReport(

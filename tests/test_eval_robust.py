@@ -146,6 +146,22 @@ def test_probe_rejects_bad_window_shapes():
         max_bias_probe(CLUSTER25, -1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", [3, 12])
+def test_probe_rejects_nonfinite_window(bad, at):
+    # unchecked, a NaN entry gives a finite worst bias, "not violated",
+    # and a breakdown fraction of 1.0
+    win = np.array(CLUSTER25, dtype=float)
+    win[at] = bad
+    params = SmootherParams(radius_px=2, bandwidth=20.0)
+    with pytest.raises(ValueError, match="finite"):
+        max_bias_probe(win, 0, params, random_trials=0)
+    with pytest.raises(ValueError, match="finite"):
+        max_bias_probe(win, 3, params)
+    with pytest.raises(ValueError, match="finite"):
+        breakdown_estimate(win, params)
+
+
 def test_probe_zero_replacements_is_clean():
     params = SmootherParams(radius_px=2, bandwidth=20.0)
     rep = max_bias_probe(CLUSTER25, 0, params, random_trials=0)

@@ -158,6 +158,14 @@ def test_window_estimate_frozen_variant():
     assert est == pytest.approx(74.08896948788838, abs=1e-3)
 
 
+@pytest.mark.parametrize("trim", [0.0, 0.15])
+def test_window_estimate_without_entries_is_nan(trim):
+    # a window of NaN entries has nothing to trim, no kernel and no median
+    est = window_mode_estimate(np.full(25, np.nan),
+                               SmootherParams(trim_fraction=trim), 10.0)
+    assert np.isnan(est)
+
+
 def test_window_estimate_size_check():
     with pytest.raises(ValueError):
         window_mode_estimate([1.0] * 24, SmootherParams(radius_px=2), 10.0)
@@ -332,6 +340,54 @@ def test_output_independent_of_band_size_at_scale(monkeypatch, border,
     for out, rep in runs[1:]:
         assert out.tobytes() == runs[0][0].tobytes()
         assert rep == runs[0][1]
+
+
+def _mixed_band_image():
+    """11x10 image whose first three rows, at radius 2, hold starts that
+    stay (rows 0-1 of the flat rows 0-2), climb (row 2, next to the noisy
+    rows 3-10) and search both ways (the outlier at (1, 5), trimmed from
+    its own window); two more outliers lie further down."""
+    px = np.round(np.random.default_rng(5).uniform(80.0, 120.0, (11, 10)))
+    px[:3] = 100.0
+    px[1, 5] = px[6, 3] = px[8, 7] = 250.0
+    return Image(px)
+
+
+@pytest.mark.parametrize("border", ["clip", "replicate"])
+def test_workspace_leaks_nothing_between_bands(monkeypatch, border):
+    # every band's climbing stack is built in one workspace per smooth
+    # call.  Bands of one row, of three rows (the last one short) and one
+    # band give the same output bit for bit, and a smooth call gives the
+    # same output after a call on another image as before it
+    img = _mixed_band_image()
+    params = SmootherParams(radius_px=2, bandwidth=20.0, trim_fraction=0.15,
+                            border=border)
+    directions = []
+    nearest_modes = mode_density._nearest_modes
+
+    def recorded(*args):
+        out = nearest_modes(*args)
+        directions.append(set(out[2].tolist()))
+        return out
+
+    monkeypatch.setattr(mode_density, "_nearest_modes", recorded)
+    runs = []
+    for rows in (1, 3, 11):
+        monkeypatch.setattr(smoother, "BAND_ENTRIES", rows * 10 * 25)
+        directions.clear()
+        out, rep = smooth(img, params)
+        runs.append((out.pixels.tobytes(), {**rep.to_dict(),
+                                             "wall_time_s": 0.0}))
+        assert len(directions) == -(-11 // rows)
+        if rows == 3:
+            # a band that stays, climbs and searches both ways
+            assert any(d >= {0, 2} and d & {1, -1} for d in directions)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    other = Image(np.round(np.random.default_rng(6).uniform(
+        0.0, 255.0, (7, 13))))
+    fresh = smooth(other, params)[0].pixels.tobytes()
+    smooth(img, params)
+    assert smooth(other, params)[0].pixels.tobytes() == fresh
 
 
 def test_working_set_does_not_grow_with_image():
