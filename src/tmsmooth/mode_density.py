@@ -416,7 +416,7 @@ def _nearest_modes(ys, kc, g, start, tol, max_iter, work=None):
         # search climbs the mirrored field y -> -y
         size = src.size * ys.shape[1]
         work = (work or _Workspace(src.size, ys.shape[1])).buffer()
-        stack = work[:2 * size].reshape(2, src.size, -1)
+        stack = work[:2 * size].reshape(2, src.size, ys.shape[1])
         # mode="raise" would gather into a temporary and copy that out
         np.take(ys, src, axis=0, out=stack[0], mode="clip")
         np.take(kc, src, axis=0, out=stack[1], mode="clip")

@@ -8,7 +8,8 @@ from tmsmooth import mode_density
 from tmsmooth.kernels import _GAUSS_COEF
 from tmsmooth.mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,
                                    DegenerateFieldError, DensityField,
-                                   _climb, _nearest_modes, nearest_mode)
+                                   _Workspace, _climb, _nearest_modes,
+                                   nearest_mode)
 
 from conftest import (GAUSS_NORM, random_positive_field, ref_field,
                       ref_lattice_weights, ref_nearest_mode)
@@ -387,6 +388,23 @@ def test_mixed_stack_matches_batches_of_one():
     assert up[1][0] > 0 and down[1][0] > 0
     assert stack[1][3] == up[1][0] + down[1][0]
     assert stack[0][3] == -down[0][0]  # the lower mode is nearer to 30
+
+
+def test_outlier_rows_without_kernels_climb_nothing():
+    # rows whose every slot is empty (collapsed kernels) are outliers with
+    # no cut to search from: the climbing stack is empty and each such row
+    # reads NaN, also next to a row that does search
+    g = 0.3
+    ys = np.array([[0.5, 0.0], [0.0, 1.0]])
+    kc = np.array([[0.0, 0.0], [1.0, 1.0]])
+    mode, iters, d, conv = _nearest_modes(ys[:1], kc[:1], g, np.array([0.5]),
+                                          DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert np.isnan(mode[0]) and (iters[0], d[0], conv[0]) == (0, 2, True)
+    mode, iters, d, conv = _nearest_modes(ys, kc, g, np.array([0.5, 5.0]),
+                                          DEFAULT_TOL, DEFAULT_MAX_ITER,
+                                          _Workspace(2, 2))
+    assert np.isnan(mode[0]) and mode[1] == 1.0
+    assert d.tolist() == [2, 2] and conv.tolist() == [True, True]
 
 
 @settings(max_examples=150, deadline=None)
