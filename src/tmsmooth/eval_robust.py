@@ -87,6 +87,8 @@ def _dilate(mask: np.ndarray, k: int) -> np.ndarray:
 
 def edge_band(mask: np.ndarray, band_px: int = 2) -> np.ndarray:
     """Pixels within band_px (Chebyshev) of the mask boundary."""
+    if band_px < 0:
+        raise ValueError(f"band_px must be >= 0, got {band_px}")
     mask = np.asarray(mask, dtype=bool)
     return _dilate(mask, band_px) & _dilate(~mask, band_px)
 
@@ -101,6 +103,8 @@ def metrics(truth: Image, estimate: Image,
     """
     if (truth.height, truth.width) != (estimate.height, estimate.width):
         raise ValueError("image dimensions differ")
+    if band_px < 0:
+        raise ValueError(f"band_px must be >= 0, got {band_px}")
     diff = estimate.pixels - truth.pixels
     zones = None
     if region_mask is not None:
@@ -197,6 +201,8 @@ def _probe_stack(vals: np.ndarray, r: int, params: SmootherParams,
     params = replace(params, radius_px=side // 2)
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < window size")
+    if random_trials < 0:
+        raise ValueError(f"random_trials must be >= 0, got {random_trials}")
     for name in strategies:
         if name not in _STRATEGY_SIGNS:
             raise ValueError(f"unknown strategy {name!r}")

@@ -89,11 +89,12 @@ passes.  A downward search runs as an upward one on the mirrored field
 (y -> -y), which negates every intermediate exactly.  A stack whose
 rows all stay returns right after the start test.  Otherwise the
 climbing rows are gathered, row-major, into a float64 workspace that
-also holds the walk's enter, leave and cut arrays; a caller that
-searches many stacks (the smoother's bands) passes one _Workspace for
-all of them.  Each row's mode, step count and convergence flag are
-written straight to that row, and only an outlier row compares its
-upward and downward results.  nearest_mode is the batch of one.
+also holds the walk's enter, leave and cut arrays and that the search
+sizes itself; a caller that searches many stacks (the smoother's bands)
+passes one _Workspace for all of them.  Each row's mode, step count and
+convergence flag are written straight to that row, only an outlier row
+compares its upward and downward results, and a row without any kernel
+reads NaN.  nearest_mode is the batch of one.
 """
 
 from __future__ import annotations
@@ -351,30 +352,31 @@ def _climb(ys, kc, g, y0, slope0, tol, max_iter, work=None):
 
 
 class _Workspace:
-    """Float64 buffer for climbing stacks of up to `rows` rows of `slots`
-    kernel slots: a stack's centres and coefficients (_nearest_modes),
-    then the walk's enter, leave and cut arrays (_climb).  It is allocated
-    when the first stack climbs and reused by every later one."""
+    """Float64 buffer for climbing stacks: a stack's centres and
+    coefficients (_nearest_modes), then the walk's enter, leave and cut
+    arrays (_climb).  It is reallocated only when a stack asks for more
+    than it holds, so stacks no larger than the first reuse one array."""
 
-    def __init__(self, rows: int, slots: int):
-        self.size, self._buf = 6 * rows * slots, None
+    def __init__(self):
+        self._buf = np.empty(0)
 
-    def buffer(self) -> np.ndarray:
-        if self._buf is None:
-            self._buf = np.empty(self.size)
+    def buffer(self, size: int) -> np.ndarray:
+        if self._buf.size < size:
+            self._buf = np.empty(size)
         return self._buf
 
 
-def _nearest_modes(ys, kc, g, start, tol, max_iter, work=None):
+def _nearest_modes(ys, kc, g, start, work=None):
     """Nearest-mode search for a stack of fields (see module docstring).
 
     Row p holds kernel centres ys[p] with coefficients kc[p], the spatial
-    weights times _GAUSS_COEF / g (0: no kernel), and starts at start[p].
-    The climbing stack (a row per climbing start, two per outlier start)
-    is built in the buffer of `work`, a _Workspace of at least that many
-    rows (None: one sized for this stack).  Returns (mode, iterations,
-    direction, converged) per row, direction 1 up, -1 down, 0 stay and 2
-    both.  g must keep _GAUSS_COEF / g finite (_check_bandwidth).
+    weights times _GAUSS_COEF / g (0: no kernel), and starts at start[p];
+    a row without any kernel reads NaN, for its caller to replace.  The
+    search reads DEFAULT_TOL and DEFAULT_MAX_ITER at each call and asks
+    `work` (None: a new _Workspace) for 12 * ys.size values: two climbing
+    rows per row, since an outlier start climbs both ways.  Returns (mode,
+    iterations, direction, converged) per row, direction 1 up, -1 down,
+    0 stay and 2 both.  g must keep _GAUSS_COEF / g finite.
     """
     # overflowing terms (values near the float maximum) give inf or NaN: a
     # NaN start slope stays, and a NaN stops a row or fails its root
@@ -384,7 +386,7 @@ def _nearest_modes(ys, kc, g, start, tol, max_iter, work=None):
         s = start[:, None]
         on = _active(ys - g, ys + g, s) & live
         fp = _seg_derivs(start, ys, kc, on, g, False)[0]
-        d = np.where(on.any(axis=1), np.where(np.abs(fp) > tol,
+        d = np.where(on.any(axis=1), np.where(np.abs(fp) > DEFAULT_TOL,
                                               np.sign(fp), 0), 2).astype(int)
         mode, iters = start.copy(), np.zeros(start.size, dtype=int)
         conv = ~np.isnan(fp)
@@ -415,16 +417,17 @@ def _nearest_modes(ys, kc, g, start, tol, max_iter, work=None):
         # the stack is gathered row-major into the workspace; a downward
         # search climbs the mirrored field y -> -y
         size = src.size * ys.shape[1]
-        work = (work or _Workspace(src.size, ys.shape[1])).buffer()
+        work = (work or _Workspace()).buffer(12 * ys.size)
         stack = work[:2 * size].reshape(2, src.size, ys.shape[1])
         # mode="raise" would gather into a temporary and copy that out
         np.take(ys, src, axis=0, out=stack[0], mode="clip")
         np.take(kc, src, axis=0, out=stack[1], mode="clip")
         ys, kc = stack
         ys *= sgn[:, None]
-        m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, tol, max_iter,
-                           work[2 * size:])
+        m, it, ok = _climb(ys, kc, g, sgn * y0, slope0, DEFAULT_TOL,
+                           DEFAULT_MAX_ITER, work[2 * size:])
         m *= sgn
+        m += 0.0  # a downward mode of 0 reads +0.0, not -0.0
         # each row takes its results, an outlier row those of its upward
         # search first (NaN if it has none)
         head = src.size - tail
@@ -450,8 +453,7 @@ def nearest_mode(f: DensityField, start: float) -> ModeResult:
     if not np.isfinite(start):
         raise ValueError("start must be finite")
     mode, iters, d, conv = _nearest_modes(
-        f._ys[None], f._kc[None], f.g, np.array([float(start)]), DEFAULT_TOL,
-        DEFAULT_MAX_ITER)
+        f._ys[None], f._kc[None], f.g, np.array([float(start)]))
     mode = float(mode[0])
     return ModeResult(mode=mode, iterations=int(iters[0]),
                       direction=_DIRECTIONS[int(d[0])],

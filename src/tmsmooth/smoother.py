@@ -28,8 +28,8 @@ The trim scores one LTS block at a time and the search copies its
 per-row arrays only when half of its rows are done, so a band of 2**15
 entries (256 kB of window values) takes under 2 MB of temporaries on 5x5
 and 9x9 windows.  The largest of them, the climbing rows and the walk's
-cut arrays, live in one workspace per smooth call: allocated at the
-first band that climbs, sized for two search rows per pixel of a band,
+cut arrays, live in one workspace per smooth call that the search sizes
+(mode_density._nearest_modes): allocated at the first band that climbs
 and reused by every later band, so the band loop does not hand its
 largest temporaries back to the system and fault them in again.
 No row's arithmetic depends on the other rows of its band: the output is
@@ -50,8 +50,8 @@ from . import lts_trim, mode_density
 from .grid_image import Image, _check_border, window_at  # noqa: F401
 from .kernels import k2
 from .lts_trim import trim_count, trim_values  # noqa: F401
-from .mode_density import (DEFAULT_MAX_ITER, DEFAULT_TOL,  # noqa: F401
-                           DensityField, _check_bandwidth, nearest_mode)
+from .mode_density import (DensityField, _check_bandwidth,  # noqa: F401
+                           nearest_mode)
 
 DEGENERATE_SCALE_FLOOR = 1e-6
 # window entries per row band: bounds the working set of one batched pass.
@@ -109,12 +109,6 @@ class SmoothReport:
         return asdict(self)
 
 
-def _band_rows(width: int, radius_px: int) -> int:
-    """Image rows per band: as many as fit BAND_ENTRIES window entries, at
-    least one."""
-    return max(1, BAND_ENTRIES // (width * (2 * radius_px + 1) ** 2))
-
-
 def _bands(img: Image, radius_px: int, border: str):
     """(first pixel, (P, k) window stack) per row band of the image.
 
@@ -129,7 +123,7 @@ def _bands(img: Image, radius_px: int, border: str):
     else:
         pad = np.pad(img.pixels, w, constant_values=np.nan)
     view = np.lib.stride_tricks.sliding_window_view(pad, (side, side))
-    step = _band_rows(W, radius_px)
+    step = max(1, BAND_ENTRIES // (W * side * side))
     for i in range(0, H, step):
         yield i * W, view[i:i + step].reshape(-1, side * side)
 
@@ -187,9 +181,9 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
 
     Returns (modes, trimmed entries, median fallbacks, non-converged).
     Windows are trimmed in groups of equal entry count; each is then one
-    search row (mode_density._rows), or the window median if the row holds
-    no kernel (NaN for a window without entries).  The search's climbing
-    stack is built in `work` (mode_density._nearest_modes).
+    search row (mode_density._rows), climbing in `work`.  A row without a
+    kernel reads NaN from the search and takes the window median instead
+    (NaN for a window without entries).
     """
     keep, trimmed = None, 0
     if params.trim_fraction > 0.0:
@@ -205,15 +199,12 @@ def _estimate(win: np.ndarray, kappa: np.ndarray, g: float,
             keep[rows] = sub
             trimmed += r * rows.size
     ys, kc, on = mode_density._rows(win, kappa, g, keep)
-    start = win[:, win.shape[1] // 2]
+    modes, _, _, conv = mode_density._nearest_modes(
+        ys, kc, g, win[:, win.shape[1] // 2], work)
     fb = ~on.any(axis=1)
-    modes = np.empty(len(win))
     if fb.any():
         modes[fb] = _quantiles(win[fb], 0.5)[0]
-        ys, kc, start = ys[~fb], kc[~fb], start[~fb]
-    modes[~fb], _, _, conv = mode_density._nearest_modes(
-        ys, kc, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER, work)
-    return modes, trimmed, int(fb.sum()), int(conv.size - conv.sum())
+    return modes, trimmed, int(fb.sum()), int(np.count_nonzero(~(conv | fb)))
 
 
 def smooth(img: Image, params: SmootherParams = SmootherParams()
@@ -228,10 +219,7 @@ def smooth(img: Image, params: SmootherParams = SmootherParams()
     else:
         g, g_mode = float(params.bandwidth), "fixed"
     kappa = _lattice_kappa(w)
-    # one workspace for every band's climbing stack: up to two rows per
-    # pixel of the largest band, since an outlier start searches both ways
-    work = mode_density._Workspace(2 * min(H, _band_rows(W, w)) * W,
-                                   np.count_nonzero(kappa > 0.0))
+    work = mode_density._Workspace()  # every band's climbing stack
     out = np.empty(H * W)
     totals = np.zeros(3, dtype=int)
     for p0, win in _bands(img, w, params.border):

@@ -255,6 +255,19 @@ def test_probe_trials_at_float_maximum_are_usage_error(tmp_path, capsys):
     assert "random trials" in capsys.readouterr().err
 
 
+def test_negative_probe_trials_or_band_px_are_usage_errors(
+        tmp_path, scene_file, capsys):
+    img = tmp_path / "ramp.pgm"
+    write_pgm(Image(np.arange(64, dtype=float).reshape(8, 8)), img)
+    assert main(["probe", str(img), "--trials", "-1"]) == EXIT_USAGE
+    assert "random_trials" in capsys.readouterr().err
+    assert main(["eval", str(img), str(img), "--scene", str(scene_file),
+                 "--band-px", "-3"]) == EXIT_USAGE
+    assert "band_px" in capsys.readouterr().err
+    assert main(["eval", str(img), str(img), "--band-px", "-3"]) == EXIT_USAGE
+    assert "band_px" in capsys.readouterr().err
+
+
 def test_probe_center_outside_image(tmp_path, scene_file, capsys):
     clean = tmp_path / "c.pgm"
     main(["synth", str(scene_file), "--size", "8", "--out", str(clean)])

@@ -90,6 +90,20 @@ def test_zone_metrics_with_empty_mask():
     assert rep.zones["outside"]["count"] == 16
 
 
+def test_negative_band_px_is_rejected():
+    truth = Image(np.zeros((4, 4)))
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[:2] = True
+    with pytest.raises(ValueError, match="band_px"):
+        metrics(truth, truth, region_mask=mask, band_px=-1)
+    with pytest.raises(ValueError, match="band_px"):
+        metrics(truth, truth, band_px=-1)
+    with pytest.raises(ValueError, match="band_px"):
+        edge_band(mask, band_px=-1)
+    assert metrics(truth, truth, region_mask=mask,
+                   band_px=0).zones["band"]["count"] == 0
+
+
 def test_edge_band_single_pixel():
     mask = np.zeros((5, 5), dtype=bool)
     mask[2, 2] = True
@@ -179,6 +193,11 @@ def test_probe_unknown_strategy():
     with pytest.raises(ValueError):
         max_bias_probe(CLUSTER25, 0, strategies=("all_plus", "sideways"),
                        random_trials=0)
+
+
+def test_probe_rejects_negative_random_trials():
+    with pytest.raises(ValueError, match="random_trials"):
+        max_bias_probe(CLUSTER25, 1, random_trials=-1)
 
 
 def test_probe_random_trials_need_a_finite_value_range():

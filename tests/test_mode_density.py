@@ -262,7 +262,8 @@ def test_first_zero_matches_grid_reference_on_random_fields(rng):
 
 def _check_stack(rows, g, tol):
     """Run the (values, weights, start) rows as one _nearest_modes stack
-    and compare every mode with the reference; returns (direction,
+    and compare every mode with the reference at tolerance tol (the
+    search's own, mode_density.DEFAULT_TOL); returns (direction,
     converged) per row."""
     n = max(v.size for v, _, _ in rows)
     ys = np.zeros((len(rows), n))
@@ -270,8 +271,7 @@ def _check_stack(rows, g, tol):
     for i, (vals, wts, _) in enumerate(rows):
         ys[i, :vals.size], ks[i, :vals.size] = vals, wts
     start = np.array([s for _, _, s in rows])
-    modes, _, d, conv = _nearest_modes(ys, ks * (_GAUSS_COEF / g), g, start,
-                                       tol, DEFAULT_MAX_ITER)
+    modes, _, d, conv = _nearest_modes(ys, ks * (_GAUSS_COEF / g), g, start)
     for (vals, wts, s), m in zip(rows, modes):
         assert m == pytest.approx(ref_nearest_mode(vals, wts, g, s, tol),
                                   abs=1e-4 * g)
@@ -279,11 +279,12 @@ def _check_stack(rows, g, tol):
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
-def test_walk_skips_no_zero_on_adversarial_stack(rng, tol):
+def test_walk_skips_no_zero_on_adversarial_stack(rng, monkeypatch, tol):
     # rows of one stack finish on different passes of the lock-step walk;
     # tol is also the margin of the walk's skip bound.  g and the values
     # are exact in binary, so coincident and shared cuts are exact.
     # Weights of order 1e4 keep |F'| well above tol = 1e-3 off the modes
+    monkeypatch.setattr(mode_density, "DEFAULT_TOL", tol)
     g = 16.0
     fields = []
     for _ in range(12):
@@ -371,11 +372,10 @@ def test_mixed_stack_matches_batches_of_one():
         ks[i, :len(vals)] = np.linspace(1.0, 2.0, len(vals))
     start = np.array([s for _, s in rows])
     kc = ks * (_GAUSS_COEF / g)
-    stack = _nearest_modes(ys, kc, g, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    stack = _nearest_modes(ys, kc, g, start)
     assert set(stack[2].tolist()) >= {0, 1, -1, 2}
     for i in range(len(rows)):
-        alone = _nearest_modes(ys[i:i + 1], kc[i:i + 1], g, start[i:i + 1],
-                               DEFAULT_TOL, DEFAULT_MAX_ITER)
+        alone = _nearest_modes(ys[i:i + 1], kc[i:i + 1], g, start[i:i + 1])
         for got, want in zip(stack, alone):
             assert got[i:i + 1].tobytes() == want.tobytes(), i
     # the outlier row between two components searches both ways from the
@@ -397,12 +397,10 @@ def test_outlier_rows_without_kernels_climb_nothing():
     g = 0.3
     ys = np.array([[0.5, 0.0], [0.0, 1.0]])
     kc = np.array([[0.0, 0.0], [1.0, 1.0]])
-    mode, iters, d, conv = _nearest_modes(ys[:1], kc[:1], g, np.array([0.5]),
-                                          DEFAULT_TOL, DEFAULT_MAX_ITER)
+    mode, iters, d, conv = _nearest_modes(ys[:1], kc[:1], g, np.array([0.5]))
     assert np.isnan(mode[0]) and (iters[0], d[0], conv[0]) == (0, 2, True)
     mode, iters, d, conv = _nearest_modes(ys, kc, g, np.array([0.5, 5.0]),
-                                          DEFAULT_TOL, DEFAULT_MAX_ITER,
-                                          _Workspace(2, 2))
+                                          _Workspace())
     assert np.isnan(mode[0]) and mode[1] == 1.0
     assert d.tolist() == [2, 2] and conv.tolist() == [True, True]
 
@@ -433,9 +431,18 @@ def test_walk_passes_at_most_the_row_cuts(log_scale, log_g, n, where, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mode_density, "_seg_derivs", counted)
-        _nearest_modes(ys[None], kc[None], g, np.array([start]),
-                       DEFAULT_TOL, DEFAULT_MAX_ITER)
+        _nearest_modes(ys[None], kc[None], g, np.array([start]))
     assert len(passes) <= 2 * np.count_nonzero(kc)
+
+
+@pytest.mark.parametrize("start, direction", [(3.0, "down"), (60.0, "both")])
+def test_downward_mode_at_zero_is_positive_zero(start, direction):
+    # a downward search climbs the mirrored field and negates its mode,
+    # which must not turn a mode of 0 into -0.0
+    res = nearest_mode(make_field([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 5.0),
+                       start)
+    assert res.direction == direction
+    assert res.mode == 0.0 and not np.signbit(res.mode)
 
 
 def test_nan_start_slope_stays_not_converged():
@@ -451,8 +458,7 @@ def test_nan_start_slope_stays_not_converged():
     g = 1e300
     ys = np.array([[-1e308, 1e308], [0.0, 4e300], [0.0, 4e300]])
     kc = np.full(ys.shape, 1e295)
-    d, conv = _nearest_modes(ys, kc, g, np.array([1e308, -1e299, 0.0]),
-                             DEFAULT_TOL, DEFAULT_MAX_ITER)[2:]
+    d, conv = _nearest_modes(ys, kc, g, np.array([1e308, -1e299, 0.0]))[2:]
     assert d.tolist() == [0, 1, 0]
     assert conv.tolist() == [False, True, True]
 

@@ -390,6 +390,66 @@ def test_workspace_leaks_nothing_between_bands(monkeypatch, border):
     assert smooth(other, params)[0].pixels.tobytes() == fresh
 
 
+def test_workspace_is_allocated_once_per_smooth(monkeypatch):
+    # every band of a smooth call that climbs gets the same array from the
+    # workspace: the first band that climbs is no smaller than a later one
+    handed = []
+    buffer = mode_density._Workspace.buffer
+
+    def recorded(self, size):
+        handed.append(buffer(self, size))
+        return handed[-1]
+
+    monkeypatch.setattr(mode_density._Workspace, "buffer", recorded)
+    monkeypatch.setattr(smoother, "BAND_ENTRIES", 3 * 10 * 25)
+    for border in ("clip", "replicate"):
+        handed.clear()
+        smooth(_mixed_band_image(), SmootherParams(
+            radius_px=2, bandwidth=20.0, trim_fraction=0.15, border=border))
+        assert len(handed) == 4
+        assert all(buf is handed[0] for buf in handed)
+
+
+def _estimate_rows():
+    """25-entry windows whose searches stay, go up, go down and go both
+    ways, and windows that hold no kernel: collapsed kernels at g = 10
+    (values near 1e20) and a window without entries."""
+    rng = np.random.default_rng(12)
+    base = np.round(rng.uniform(95.0, 105.0, (10, 25)))
+    flat = np.full((2, 25), 100.0)
+    up, down, both = base[:3].copy(), base[3:6].copy(), base[6:9].copy()
+    up[:, 12], down[:, 12], both[:, 12] = 92.0, 108.0, 250.0
+    collapsed = 1e20 + 16384.0 * rng.integers(0, 4, size=(3, 25))
+    return np.concatenate([flat, up, collapsed[:1], down, both, base[9:],
+                           collapsed[1:], np.full((1, 25), np.nan)])
+
+
+@pytest.mark.parametrize("trim", [0.0, 0.15])
+def test_estimate_rows_mix_without_interaction(monkeypatch, trim):
+    # one _estimate stack of rows without a kernel and rows that stay, go
+    # up, go down and go both ways: each row's estimate and counts are
+    # those it gets alone, bit for bit
+    wins, kappa = _estimate_rows(), smoother._lattice_kappa(2)
+    params = SmootherParams(radius_px=2, trim_fraction=trim)
+    directions = []
+    nearest_modes = mode_density._nearest_modes
+
+    def recorded(*args):
+        out = nearest_modes(*args)
+        directions.append(out[2])
+        return out
+
+    monkeypatch.setattr(mode_density, "_nearest_modes", recorded)
+    modes, *counts = smoother._estimate(wins, kappa, 10.0, params)
+    assert {0, 1, -1, 2} <= set(directions[0].tolist())
+    alone = [smoother._estimate(win[None], kappa, 10.0, params)
+             for win in wins]
+    assert modes.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+    assert counts == [sum(a[i] for a in alone) for i in (1, 2, 3)]
+    assert counts[1:] == [4, 0]  # three collapsed windows, one empty
+    assert np.isnan(modes[-1]) and modes[5] == np.sort(wins[5])[12]
+
+
 def test_working_set_does_not_grow_with_image():
     # aim: memory stays bounded on large images.  The traced peak of a
     # smooth, minus the output and the padded copy of the input, is the
@@ -493,8 +553,7 @@ def test_density_field_is_the_smoothers_search_row(rng):
                                                 keep if trim else None)
                 live = on.any(axis=1)
                 stack = mode_density._nearest_modes(
-                    ys[live], kc[live], g, wins[live, k // 2], DEFAULT_TOL,
-                    mode_density.DEFAULT_MAX_ITER)
+                    ys[live], kc[live], g, wins[live, k // 2])
                 results = []
                 for p, win in enumerate(wins):
                     if not live[p]:
