@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .eval_robust import (DEFAULT_MAGNITUDES, DEFAULT_RANDOM_TRIALS,
@@ -20,8 +21,9 @@ from .eval_robust import (DEFAULT_MAGNITUDES, DEFAULT_RANDOM_TRIALS,
 from .grid_image import (GridGeometry, Image, PgmParseError, read_pgm,
                          window_at, write_pgm)
 from .lts_trim import trim_count
-from .scene_noise import (NoiseSpec, SceneConfigError, add_noise,
-                          parse_noise_config, parse_scene_config, rasterize)
+from .scene_noise import (_NOISE_KEYS, NoiseSpec, Region, SceneConfigError,
+                          SceneSpec, add_noise, parse_noise_config,
+                          parse_scene_config, rasterize)
 from .smoother import DegenerateScaleError, SmootherParams, smooth
 
 EXIT_OK = 0
@@ -101,21 +103,14 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 
 
 def _noise_spec_from_args(ns: argparse.Namespace) -> NoiseSpec:
-    if ns.config is not None:
-        spec = parse_noise_config(_read_config_text(ns.config))
-    else:
-        spec = NoiseSpec()
-    overrides = {name: getattr(ns, name) for name in
-                 ("sigma", "truncate", "p_white", "p_black",
-                  "white_value", "black_value", "seed")
+    spec = (parse_noise_config(_read_config_text(ns.config))
+            if ns.config is not None else NoiseSpec())
+    overrides = {name: getattr(ns, name) for name in _NOISE_KEYS
                  if getattr(ns, name) is not None}
-    if overrides:
-        merged = {**spec.__dict__, **overrides}
-        try:
-            spec = NoiseSpec(**merged)
-        except ValueError as exc:
-            raise SceneConfigError(str(exc)) from None
-    return spec
+    try:
+        return replace(spec, **overrides)
+    except ValueError as exc:
+        raise SceneConfigError(str(exc)) from None
 
 
 def cmd_noise(ns: argparse.Namespace) -> int:
@@ -152,13 +147,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     truth = read_pgm(ns.truth)
     region_mask = None
     if ns.scene is not None:
+        # zones follow the declared regions, whatever their heights
         scene = parse_scene_config(_read_config_text(ns.scene))
-        clean = rasterize(scene, GridGeometry(truth.height, truth.width))
-        base = rasterize(
-            type(scene)(base_offset=scene.base_offset,
-                        base_gradient=scene.base_gradient),
-            GridGeometry(truth.height, truth.width))
-        region_mask = clean.pixels != base.pixels
+        unit = SceneSpec(regions=tuple(Region(shape=r.shape, height=1.0)
+                                       for r in scene.regions))
+        region_mask = rasterize(
+            unit, GridGeometry(truth.height, truth.width)).pixels > 0.0
     rows = []
     for path in ns.estimates:
         est = read_pgm(path)
@@ -238,16 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="add Gaussian noise and outliers")
     p.add_argument("input", help="input PGM path")
     p.add_argument("--config", help="config file with a noise directive")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--truncate", type=float, default=None,
-                   help="restrict Gaussian noise to (-a, a)")
-    p.add_argument("--p-white", type=float, default=None, dest="p_white")
-    p.add_argument("--p-black", type=float, default=None, dest="p_black")
-    p.add_argument("--white-value", type=float, default=None,
-                   dest="white_value")
-    p.add_argument("--black-value", type=float, default=None,
-                   dest="black_value")
-    p.add_argument("--seed", type=int, default=None)
+    for name, kind in _NOISE_KEYS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name,
+                       help=f"override the config's noise {name}")
     _add_write_flags(p)
     p.set_defaults(func=cmd_noise)
 

@@ -13,12 +13,18 @@ open interval (-truncate, truncate)) is added to the scene value.  All
 randomness is drawn from a counter-based generator keyed by
 (seed, row, column), so every pixel's noise is a pure function of the
 seed and its own index, independent of evaluation order or image size.
+
+Both come from one plain-text config of 'directive = ...' lines.  One
+reader walks it and rejects any line that is not a base, region or noise
+directive; parse_scene_config reads the base and region lines and
+parse_noise_config the noise lines.  Region kinds and noise keys are each
+declared once, in _REGION_KINDS and _NOISE_KEYS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -207,6 +213,9 @@ class NoiseSpec:
             raise ValueError("outlier probabilities must be in [0, 1]")
         if self.p_white + self.p_black > 1.0:
             raise ValueError("p_white + p_black must not exceed 1")
+        if not (np.isfinite(self.white_value)
+                and np.isfinite(self.black_value)):
+            raise ValueError("outlier values must be finite")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -264,84 +273,80 @@ def add_noise(img: Image, spec: NoiseSpec) -> Image:
 # -- plain-text configuration ------------------------------------------------
 
 
-def _parse_floats(text: str, n: int, what: str, lineno: int) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise SceneConfigError(
-            f"line {lineno}: {what} needs {n} comma-separated numbers, "
-            f"got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise SceneConfigError(f"line {lineno}: {what}: {exc}") from None
+def _directives(text: str):
+    """Yield (lineno, directive, rest) for each non-blank line of config
+    text, in file order; '#' starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        directive, eq, rest = (part.strip() for part in line.partition("="))
+        if not eq or directive not in ("base", "region", "noise"):
+            raise SceneConfigError(
+                f"line {lineno}: expected 'base = ...', 'region = ...' or "
+                f"'noise = ...', got {line!r}")
+        yield lineno, directive, rest
 
 
-def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:
+def _parse_kv(tokens: list[str], known, what: str) -> dict[str, str]:
     out = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise SceneConfigError(
-                f"line {lineno}: expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        if key not in known:
+            raise ValueError(f"unknown {what} key {key!r}")
         if key in out:
-            raise SceneConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"duplicate key {key!r}")
         out[key] = val
     return out
 
 
-def _require(kv: dict[str, str], keys: tuple[str, ...], kind: str, lineno: int):
+def _pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 2 comma-separated numbers, got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
+# region kind -> (shape class, {config key: (shape field, parser)}); every
+# kind also takes height=H
+_REGION_KINDS = {
+    "wedge": (Wedge, {"vertex": ("vertex", _pair),
+                      "bisector": ("bisector", _pair),
+                      "angle_deg": ("angle", lambda v: math.radians(float(v))),
+                      "extent": ("extent", float)}),
+    "disk": (Disk, {"center": ("center", _pair), "radius": ("radius", float)}),
+    "rect": (Rect, {"corner": ("corner", _pair),
+                    "opposite": ("opposite", _pair)}),
+    "polygon": (Polygon, {"points": (
+        "points", lambda v: tuple(_pair(p) for p in v.split(";")))}),
+}
+
+
+def _parse_region(rest: str) -> Region:
+    kind, *tokens = rest.split() or [""]
+    if kind not in _REGION_KINDS:
+        raise ValueError(f"unknown region kind {kind!r}")
+    shape, fields = _REGION_KINDS[kind]
+    keys = (*fields, "height")
+    kv = _parse_kv(tokens, keys, f"{kind} region")
     missing = [k for k in keys if k not in kv]
     if missing:
-        raise SceneConfigError(
-            f"line {lineno}: {kind} region is missing {', '.join(missing)}")
-    extra = [k for k in kv if k not in keys]
-    if extra:
-        raise SceneConfigError(
-            f"line {lineno}: {kind} region has unknown keys "
-            f"{', '.join(extra)}")
+        raise ValueError(f"{kind} region is missing {', '.join(missing)}")
+    return Region(shape=shape(**{field: parse(kv[key]) for key, (field, parse)
+                                 in fields.items()}),
+                  height=float(kv["height"]))
 
 
-def _parse_region(rest: str, lineno: int) -> Region:
-    tokens = rest.split()
-    if not tokens:
-        raise SceneConfigError(f"line {lineno}: empty region directive")
-    kind, tokens = tokens[0], tokens[1:]
-    kv = _parse_kv(tokens, lineno)
-    try:
-        if kind == "wedge":
-            _require(kv, ("vertex", "bisector", "angle_deg", "extent",
-                          "height"), kind, lineno)
-            shape = Wedge(
-                vertex=_parse_floats(kv["vertex"], 2, "vertex", lineno),
-                bisector=_parse_floats(kv["bisector"], 2, "bisector", lineno),
-                angle=math.radians(float(kv["angle_deg"])),
-                extent=float(kv["extent"]))
-        elif kind == "disk":
-            _require(kv, ("center", "radius", "height"), kind, lineno)
-            shape = Disk(
-                center=_parse_floats(kv["center"], 2, "center", lineno),
-                radius=float(kv["radius"]))
-        elif kind == "rect":
-            _require(kv, ("corner", "opposite", "height"), kind, lineno)
-            shape = Rect(
-                corner=_parse_floats(kv["corner"], 2, "corner", lineno),
-                opposite=_parse_floats(kv["opposite"], 2, "opposite", lineno))
-        elif kind == "polygon":
-            _require(kv, ("points", "height"), kind, lineno)
-            pairs = kv["points"].split(";")
-            if len(pairs) < 3:
-                raise SceneConfigError(
-                    f"line {lineno}: polygon needs at least 3 points")
-            shape = Polygon(points=tuple(
-                _parse_floats(p, 2, "polygon point", lineno) for p in pairs))
-        else:
-            raise SceneConfigError(
-                f"line {lineno}: unknown region kind {kind!r}")
-        return Region(shape=shape, height=float(kv["height"]))
-    except SceneConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SceneConfigError(f"line {lineno}: {exc}") from None
+def _parse_base(rest: str) -> SceneSpec:
+    form, *numbers = rest.split() or [""]
+    if (form, len(numbers)) not in (("constant", 1), ("affine", 3)):
+        raise ValueError("base must be 'constant <v>' or "
+                         f"'affine <v> <s1> <s2>', got {rest!r}")
+    offset, *gradient = (float(v) for v in numbers)
+    return SceneSpec(base_offset=offset,
+                     base_gradient=tuple(gradient) or (0.0, 0.0))
 
 
 def parse_scene_config(text: str) -> SceneSpec:
@@ -357,44 +362,22 @@ def parse_scene_config(text: str) -> SceneSpec:
         region = polygon points=X,Y;X,Y;X,Y[;...] height=H
 
     Coordinates are design-grid positions: the first component runs down
-    the rows, the second across the columns, both in [0, 1].
+    the rows, the second across the columns, both in [0, 1].  'noise'
+    lines are left to parse_noise_config.
     """
-    base_offset = 0.0
-    base_gradient = (0.0, 0.0)
-    saw_base = False
+    base = None
     regions: list[Region] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SceneConfigError(
-                f"line {lineno}: expected '<directive> = ...', got {line!r}")
-        key, rest = (part.strip() for part in line.split("=", 1))
-        if key == "base":
-            if saw_base:
-                raise SceneConfigError(f"line {lineno}: duplicate base directive")
-            saw_base = True
-            tokens = rest.split()
-            if tokens and tokens[0] == "constant" and len(tokens) == 2:
-                base_offset = _parse_floats(tokens[1], 1, "base", lineno)[0]
-            elif tokens and tokens[0] == "affine" and len(tokens) == 4:
-                base_offset = _parse_floats(tokens[1], 1, "base", lineno)[0]
-                base_gradient = (
-                    _parse_floats(tokens[2], 1, "base", lineno)[0],
-                    _parse_floats(tokens[3], 1, "base", lineno)[0])
-            else:
-                raise SceneConfigError(
-                    f"line {lineno}: base must be 'constant <v>' or "
-                    f"'affine <v> <s1> <s2>', got {rest!r}")
-        elif key == "region":
-            regions.append(_parse_region(rest, lineno))
-        elif key == "noise":
-            continue  # handled by parse_noise_config
-        else:
-            raise SceneConfigError(f"line {lineno}: unknown directive {key!r}")
-    return SceneSpec(base_offset=base_offset, base_gradient=base_gradient,
-                     regions=tuple(regions))
+    for lineno, directive, rest in _directives(text):
+        try:
+            if directive == "base":
+                if base is not None:
+                    raise ValueError("duplicate base directive")
+                base = _parse_base(rest)
+            elif directive == "region":
+                regions.append(_parse_region(rest))
+        except ValueError as exc:
+            raise SceneConfigError(f"line {lineno}: {exc}") from None
+    return replace(base or SceneSpec(), regions=tuple(regions))
 
 
 _NOISE_KEYS = {
@@ -404,23 +387,18 @@ _NOISE_KEYS = {
 
 
 def parse_noise_config(text: str) -> NoiseSpec:
-    """Parse 'noise = key=value ...' directives from config text."""
+    """Parse 'noise = key=value ...' directives from config text; a key
+    repeated on a later noise line overrides the earlier value."""
     kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or "=" not in line:
+    for lineno, directive, rest in _directives(text):
+        if directive != "noise":
             continue
-        key, rest = (part.strip() for part in line.split("=", 1))
-        if key != "noise":
-            continue
-        for name, val in _parse_kv(rest.split(), lineno).items():
-            if name not in _NOISE_KEYS:
-                raise SceneConfigError(
-                    f"line {lineno}: unknown noise key {name!r}")
-            try:
+        try:
+            for name, val in _parse_kv(rest.split(), _NOISE_KEYS,
+                                       "noise").items():
                 kwargs[name] = _NOISE_KEYS[name](val)
-            except ValueError as exc:
-                raise SceneConfigError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise SceneConfigError(f"line {lineno}: {exc}") from None
     try:
         return NoiseSpec(**kwargs)
     except ValueError as exc:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tmsmooth.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from tmsmooth.eval_robust import edge_band
 from tmsmooth.grid_image import Image, read_pgm, write_pgm
 
 from conftest import REPORT_KEYS
@@ -179,6 +180,25 @@ def test_bad_trim_fraction_is_usage_error(tmp_path, scene_file, capsys):
     assert "invalid arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,config", [
+    (["--white-value", "nan", "--p-white", "0.3"], None),
+    (["--black-value", "inf"], None),
+    ([], "base = constant 5\nnoise sigma=30 seed=4\n"),  # '=' missing
+])
+def test_bad_noise_settings_write_nothing(tmp_path, flags, config, capsys):
+    clean = tmp_path / "clean.pgm"
+    write_pgm(Image(np.full((4, 4), 50.0)), clean)
+    if config is not None:
+        cfg = tmp_path / "noise.txt"
+        cfg.write_text(config)
+        flags = flags + ["--config", str(cfg)]
+    out = tmp_path / "noisy.pgm"
+    assert main(["noise", str(clean), *flags, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("line 2:" if config else "outlier values must be finite") in err
+
+
 def test_missing_image_is_io_error(tmp_path, capsys):
     code = main(["smooth", str(tmp_path / "absent.pgm"), "--g", "10",
                  "--out", str(tmp_path / "o.pgm")])
@@ -287,3 +307,51 @@ def test_probe_breakdown_flag(tmp_path, scene_file):
     assert code == EXIT_OK
     payload = json.loads(pj.read_text())
     assert payload["breakdown_fraction"] == pytest.approx(1 / 25)
+
+
+ZONE_SCENE = """\
+base = constant 40
+region = rect corner=0.1,0.1 opposite=0.4,0.4 height=0
+region = disk center=0.7,0.7 radius=0.2 height=50
+region = disk center=0.7,0.7 radius=0.2 height=-50
+"""
+
+
+def _zone_counts(tmp_path, config, size):
+    cfg = tmp_path / "zones.txt"
+    cfg.write_text(config)
+    clean = tmp_path / "clean.pgm"
+    report = tmp_path / "zones.json"
+    assert main(["synth", str(cfg), "--size", str(size),
+                 "--out", str(clean)]) == EXIT_OK
+    assert main(["eval", str(clean), str(clean), "--scene", str(cfg),
+                 "--json", str(report)]) == EXIT_OK
+    zones = json.loads(report.read_text())["rows"][0]["zones"]
+    return read_pgm(clean), {k: v["count"] for k, v in zones.items()}
+
+
+def _expected_counts(mask):
+    band = edge_band(mask, 2)
+    return {"inside": int((mask & ~band).sum()),
+            "outside": int((~mask & ~band).sum()),
+            "band": int(band.sum())}
+
+
+def test_eval_zones_are_the_union_of_declared_regions(tmp_path):
+    # a zero-height rect and two disks whose heights cancel leave the
+    # image flat, but each still bounds an "inside" zone
+    img, counts = _zone_counts(tmp_path, ZONE_SCENE, 32)
+    assert np.all(img.pixels == 40.0)
+    x = (np.arange(32) + 0.5) / 32
+    x1, x2 = x[:, None], x[None, :]
+    mask = (((x1 >= 0.1) & (x1 <= 0.4) & (x2 >= 0.1) & (x2 <= 0.4))
+            | (np.hypot(x1 - 0.7, x2 - 0.7) <= 0.2))
+    assert counts == _expected_counts(mask)
+    assert counts["inside"] > 0
+
+
+def test_eval_zones_of_visible_regions_follow_the_image(tmp_path):
+    # regions with nonzero heights that do not cancel: the union of the
+    # declared regions is where the image leaves its base
+    img, counts = _zone_counts(tmp_path, SCENE, 24)
+    assert counts == _expected_counts(img.pixels != 30.0)

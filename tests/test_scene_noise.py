@@ -1,6 +1,7 @@
 """Scene geometry, rasterisation, noise model, and config parsing."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ def test_noise_spec_validation():
         NoiseSpec(seed=2 ** 64)
     with pytest.raises(ValueError):
         NoiseSpec(seed=-1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="outlier values must be finite"):
+            NoiseSpec(white_value=bad)
+        with pytest.raises(ValueError, match="outlier values must be finite"):
+            NoiseSpec(black_value=bad)
 
 
 def test_zero_noise_is_identity(rng):
@@ -316,6 +322,8 @@ def test_parse_base_constant_default():
     ("region = polygon points=0,0;1,1 height=1", 1),
     ("region = disk center=0,0 radius=1 radius=2 height=1", 1),
     ("just words", 1),
+    ("base = constant nan", 1),
+    ("# flat\nbase = affine 1 inf 0", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(SceneConfigError) as exc:
@@ -331,6 +339,19 @@ def test_noise_parse_errors():
         parse_noise_config("noise = sigma=loud")
     with pytest.raises(SceneConfigError):
         parse_noise_config("noise = p_white=0.9 p_black=0.9")
+    with pytest.raises(SceneConfigError, match="outlier values"):
+        parse_noise_config("noise = white_value=nan p_white=0.3")
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("noise sigma=30", 1),                 # the '=' after noise is missing
+    ("noise = sigma=30\nflavor = vanilla", 2),
+    ("noise = sigma=30\n\njust words", 3),
+])
+def test_noise_parser_checks_every_directive(text, lineno):
+    with pytest.raises(SceneConfigError) as exc:
+        parse_noise_config(text)
+    assert f"line {lineno}:" in str(exc.value)
 
 
 def test_region_validation_errors_carry_line_numbers():
@@ -339,3 +360,22 @@ def test_region_validation_errors_carry_line_numbers():
             "region = wedge vertex=0,0 bisector=0,0 angle_deg=90 "
             "extent=1 height=1")
     assert "line 1:" in str(exc.value)
+
+
+def test_readme_config_block_parses_to_pinned_specs():
+    # the documented format is the one the parsers read
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Scene config format", 1)[1].split("```", 2)[1]
+    assert parse_scene_config(block) == SceneSpec(
+        base_offset=40.0, base_gradient=(0.0, 0.0), regions=(
+            Region(shape=Rect(corner=(0.08, 0.08), opposite=(0.45, 0.5)),
+                   height=140.0),
+            Region(shape=Disk(center=(0.7, 0.3), radius=0.18), height=90.0),
+            Region(shape=Wedge(vertex=(0.35, 0.72), bisector=(1.0, 0.3),
+                               angle=math.radians(68.8), extent=0.5),
+                   height=170.0),
+            Region(shape=Polygon(points=((0.1, 0.1), (0.3, 0.15),
+                                         (0.2, 0.4))),
+                   height=55.0)))
+    assert parse_noise_config(block) == NoiseSpec(sigma=26.0, p_white=0.01,
+                                                  seed=3)
